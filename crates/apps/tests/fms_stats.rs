@@ -124,4 +124,9 @@ fn fms_original_variant_has_40s_hyperperiod_and_thousands_of_jobs() {
         "original variant should have thousands of jobs, got {}",
         d.graph.job_count()
     );
+    // Pinned derived graph: 2798 jobs, 7206 conflict edges before
+    // transitive reduction, 3928 after it.
+    assert_eq!(d.graph.job_count(), 2798);
+    assert_eq!(d.graph.edge_count(), 3928);
+    assert_eq!(d.reduced_edges, 3278);
 }

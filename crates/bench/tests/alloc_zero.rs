@@ -6,24 +6,45 @@
 //! The test binary installs its own counting `#[global_allocator]` (an
 //! integration test is a separate crate root, so this never affects the
 //! library or other tests) and therefore runs under a plain
-//! `cargo test -q` — no feature flags needed. The scoped `#[allow]`
-//! overrides the crate's `unsafe_code = "deny"` lint for the one
-//! `GlobalAlloc` impl.
+//! `cargo test -q` — no feature flags needed. The counter is per thread:
+//! the code under test runs on the test's own thread, and the test
+//! harness runs sibling tests concurrently on other threads, whose
+//! allocations must not count. The scoped `#[allow]` overrides the
+//! crate's `unsafe_code = "deny"` lint for the one `GlobalAlloc` impl.
 
-use std::sync::atomic::{AtomicU64, Ordering};
+use std::cell::Cell;
 
-static ALLOCATIONS: AtomicU64 = AtomicU64::new(0);
+thread_local! {
+    /// Allocations made by the current thread. Each test reads only its
+    /// own thread's count, so sibling tests running concurrently in this
+    /// binary cannot pollute the measurement. `const` initialisation and
+    /// a `Drop`-free `Cell` keep the slot itself allocation-free.
+    static ALLOCATIONS: Cell<u64> = const { Cell::new(0) };
+}
+
+/// Allocations (including reallocations) made so far by this thread.
+fn allocations() -> u64 {
+    ALLOCATIONS.with(Cell::get)
+}
 
 struct CountingAlloc;
 
 #[allow(unsafe_code)]
 mod counting_impl {
-    use super::{CountingAlloc, ALLOCATIONS, Ordering};
+    use super::{CountingAlloc, ALLOCATIONS};
     use std::alloc::{GlobalAlloc, Layout, System};
 
+    fn count() {
+        // `try_with`: a thread being torn down may still allocate.
+        let _ = ALLOCATIONS.try_with(|n| n.set(n.get() + 1));
+    }
+
+    // SAFETY: every call forwards its arguments unchanged to `System`,
+    // which upholds the `GlobalAlloc` contract; counting only bumps a
+    // thread-local `Cell` and never allocates or unwinds.
     unsafe impl GlobalAlloc for CountingAlloc {
         unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
-            ALLOCATIONS.fetch_add(1, Ordering::Relaxed);
+            count();
             System.alloc(layout)
         }
 
@@ -32,7 +53,7 @@ mod counting_impl {
         }
 
         unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
-            ALLOCATIONS.fetch_add(1, Ordering::Relaxed);
+            count();
             System.realloc(ptr, layout, new_size)
         }
     }
@@ -65,12 +86,12 @@ fn steady_state_round_computation_allocates_nothing() {
     let n = rounds.compute().expect("warm-up compute");
     assert!(n > 1_000, "pinned workload should be non-trivial, got {n} rounds");
 
-    let before = ALLOCATIONS.load(Ordering::Relaxed);
+    let before = allocations();
     for _ in 0..3 {
         let again = rounds.compute().expect("steady-state compute");
         assert_eq!(again, n, "round count must be stable across recomputes");
     }
-    let delta = ALLOCATIONS.load(Ordering::Relaxed) - before;
+    let delta = allocations() - before;
     assert_eq!(
         delta, 0,
         "steady-state round loop allocated {delta} times; the RoundScratch \
@@ -109,12 +130,12 @@ fn steady_state_with_armed_cancel_token_allocates_nothing() {
     rounds.set_cancel(&token);
 
     let n = rounds.compute().expect("warm-up compute");
-    let before = ALLOCATIONS.load(Ordering::Relaxed);
+    let before = allocations();
     for _ in 0..3 {
         let again = rounds.compute().expect("steady-state compute");
         assert_eq!(again, n, "round count must be stable across recomputes");
     }
-    let delta = ALLOCATIONS.load(Ordering::Relaxed) - before;
+    let delta = allocations() - before;
     assert_eq!(
         delta, 0,
         "armed cancellation checks allocated {delta} times on the \
@@ -158,12 +179,12 @@ fn steady_state_with_frame_memo_allocates_nothing() {
         "the pinned periodic workload must replay frames ({warm_hits}h/{warm_misses}m)"
     );
 
-    let before = ALLOCATIONS.load(Ordering::Relaxed);
+    let before = allocations();
     for _ in 0..3 {
         let again = rounds.compute().expect("steady-state compute");
         assert_eq!(again, n, "round count must be stable across recomputes");
     }
-    let delta = ALLOCATIONS.load(Ordering::Relaxed) - before;
+    let delta = allocations() - before;
     let (hits, _) = rounds.memo_stats();
     assert!(hits > warm_hits, "steady-state computes must keep hitting");
     assert_eq!(

@@ -3,25 +3,44 @@
 //! pair must hash the key, look it up and clone the `Arc` without a
 //! single heap allocation — the compile phase is provably skipped.
 //!
-//! Same counting-`#[global_allocator]` trick as `alloc_zero.rs` (an
+//! Same per-thread counting `#[global_allocator]` as `alloc_zero.rs` (an
 //! integration test is its own crate root, so the allocator is local to
 //! this binary); the scoped `#[allow]` overrides the crate's
 //! `unsafe_code = "deny"` lint for the one `GlobalAlloc` impl.
 
-use std::sync::atomic::{AtomicU64, Ordering};
+use std::cell::Cell;
 
-static ALLOCATIONS: AtomicU64 = AtomicU64::new(0);
+thread_local! {
+    /// Allocations made by the current thread. Each test reads only its
+    /// own thread's count, so sibling tests running concurrently in this
+    /// binary cannot pollute the measurement. `const` initialisation and
+    /// a `Drop`-free `Cell` keep the slot itself allocation-free.
+    static ALLOCATIONS: Cell<u64> = const { Cell::new(0) };
+}
+
+/// Allocations (including reallocations) made so far by this thread.
+fn allocations() -> u64 {
+    ALLOCATIONS.with(Cell::get)
+}
 
 struct CountingAlloc;
 
 #[allow(unsafe_code)]
 mod counting_impl {
-    use super::{CountingAlloc, ALLOCATIONS, Ordering};
+    use super::{CountingAlloc, ALLOCATIONS};
     use std::alloc::{GlobalAlloc, Layout, System};
 
+    fn count() {
+        // `try_with`: a thread being torn down may still allocate.
+        let _ = ALLOCATIONS.try_with(|n| n.set(n.get() + 1));
+    }
+
+    // SAFETY: every call forwards its arguments unchanged to `System`,
+    // which upholds the `GlobalAlloc` contract; counting only bumps a
+    // thread-local `Cell` and never allocates or unwinds.
     unsafe impl GlobalAlloc for CountingAlloc {
         unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
-            ALLOCATIONS.fetch_add(1, Ordering::Relaxed);
+            count();
             System.alloc(layout)
         }
 
@@ -30,7 +49,7 @@ mod counting_impl {
         }
 
         unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
-            ALLOCATIONS.fetch_add(1, Ordering::Relaxed);
+            count();
             System.realloc(ptr, layout, new_size)
         }
     }
@@ -53,12 +72,12 @@ fn cache_hits_allocate_nothing() {
     let warm = cache.get_or_compile(&net, &cfg).expect("FMS compiles");
     assert_eq!((cache.hits(), cache.misses()), (0, 1));
 
-    let before = ALLOCATIONS.load(Ordering::Relaxed);
+    let before = allocations();
     for _ in 0..10 {
         let hit = cache.get_or_compile(&net, &cfg).expect("cache hit");
         assert_eq!(hit.content_hash(), warm.content_hash());
     }
-    let delta = ALLOCATIONS.load(Ordering::Relaxed) - before;
+    let delta = allocations() - before;
     assert_eq!(
         delta, 0,
         "cache-hit get_or_compile allocated {delta} times; the hit path \
@@ -101,13 +120,13 @@ fn run_cache_hits_allocate_nothing() {
         Arc::clone(&run),
     );
 
-    let before = ALLOCATIONS.load(Ordering::Relaxed);
+    let before = allocations();
     for _ in 0..10 {
         let key = run_key(&artifact, &stimuli, &config);
         let hit = cache.lookup(key, &bank).expect("warm cache hit");
         assert!(Arc::ptr_eq(&hit, &run), "hit must share the cached run");
     }
-    let delta = ALLOCATIONS.load(Ordering::Relaxed) - before;
+    let delta = allocations() - before;
     assert_eq!(
         delta, 0,
         "run-cache hit path allocated {delta} times; keying and lookup \

@@ -204,9 +204,13 @@ pub fn derive_task_graph(net: &Fppn, wcet: &WcetModel) -> Result<DerivedTaskGrap
     for s in servers.values() {
         fp_prime.push((s.process, s.user));
     }
-    let related = |a: ProcessId, b: ProcessId| {
-        fp_prime.contains(&(a, b)) || fp_prime.contains(&(b, a))
-    };
+    // FP′-relatedness (either direction) as a P×P matrix, built once.
+    let p = net.process_count();
+    let mut related = vec![false; p * p];
+    for (a, b) in &fp_prime {
+        related[a.index() * p + b.index()] = true;
+        related[b.index() * p + a.index()] = true;
+    }
 
     // Hyperperiod over effective periods.
     let h = hyperperiod(effective.iter().map(|e| e.period)).expect("non-empty network");
@@ -266,7 +270,7 @@ pub fn derive_task_graph(net: &Fppn, wcet: &WcetModel) -> Result<DerivedTaskGrap
     // of the other process; the same-process chains complete the closure.
     for a_pid in net.process_ids() {
         for b_pid in net.process_ids() {
-            if a_pid == b_pid || !related(a_pid, b_pid) {
+            if !related[a_pid.index() * p + b_pid.index()] {
                 continue;
             }
             let a_jobs = &jobs_of[a_pid.index()];

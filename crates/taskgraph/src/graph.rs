@@ -191,35 +191,59 @@ impl TaskGraph {
     /// an edge `a → b` is redundant if `b` remains reachable from `a`
     /// through a longer path. Returns the number of removed edges.
     ///
+    /// The standard DAG reduction over reachability bitsets: nodes are
+    /// visited in reverse topological order, and each node `a` walks its
+    /// direct successors in increasing topological position while
+    /// accumulating the set `R` of nodes they reach. A successor already
+    /// in `R` is reachable from an earlier successor, so its edge is
+    /// redundant; otherwise its reachability row is OR-ed into `R`.
+    /// `reach[a] = R ∪ {a}` is then final, because every successor of `a`
+    /// comes later in the order. Takes O(V + E·V/64) time and V²/8 bytes
+    /// of scratch (about 1 MB for the 2798 jobs of FMS Original), freed
+    /// on return.
+    ///
     /// The transitive reduction of a DAG is unique, so the result does not
     /// depend on traversal order.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the graph has a cycle.
     pub fn transitive_reduction(&mut self) -> usize {
         let order = self
             .topological_order()
             .expect("transitive reduction requires a DAG");
-        // Position of each node in topological order, for pruning.
-        let mut pos = vec![0usize; self.jobs.len()];
+        let n = order.len();
+        let mut pos = vec![0usize; n];
         for (i, id) in order.iter().enumerate() {
             pos[id.index()] = i;
         }
+        // Row `i` holds the nodes reachable from `order[i]`, as a bitset
+        // over topological positions. Every bit of row `i` is at a
+        // position ≥ `i`, so ORs start at the successor's own word.
+        let words = n.div_ceil(64);
+        let mut reach = vec![0u64; n * words];
+        let mut targets: Vec<usize> = Vec::new();
         let mut removed = 0usize;
-        for a in (0..self.jobs.len()).map(JobId::from_index) {
-            // An edge a -> b is redundant iff b is reachable from some
-            // *other* direct successor of a.
-            let direct: Vec<JobId> = self.succs[a.index()].iter().copied().collect();
-            let mut redundant: Vec<JobId> = Vec::new();
-            for &b in &direct {
-                let reachable_via_other = direct.iter().any(|&c| {
-                    c != b && pos[c.index()] < pos[b.index()] && self.is_reachable(c, b)
-                });
-                if reachable_via_other {
-                    redundant.push(b);
+        for i in (0..n).rev() {
+            let a = order[i];
+            targets.clear();
+            targets.extend(self.succs[a.index()].iter().map(|s| pos[s.index()]));
+            targets.sort_unstable();
+            let (head, tail) = reach.split_at_mut((i + 1) * words);
+            let row = &mut head[i * words..];
+            for &p in &targets {
+                let word = p / 64;
+                if row[word] & (1 << (p % 64)) != 0 {
+                    self.remove_edge(a, order[p]);
+                    removed += 1;
+                } else {
+                    let succ_row = &tail[(p - i - 1) * words..][..words];
+                    for (r, s) in row[word..].iter_mut().zip(&succ_row[word..]) {
+                        *r |= s;
+                    }
                 }
             }
-            for b in redundant {
-                self.remove_edge(a, b);
-                removed += 1;
-            }
+            row[i / 64] |= 1 << (i % 64);
         }
         removed
     }

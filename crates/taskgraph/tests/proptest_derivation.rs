@@ -2,7 +2,8 @@
 
 use fppn_core::{ChannelKind, EventSpec, Fppn, FppnBuilder, ProcessSpec};
 use fppn_taskgraph::{
-    derive_task_graph, load, necessary_condition, AsapAlap, WcetModel,
+    derive_task_graph, derive_task_graph_unreduced, load, necessary_condition, AsapAlap, TaskGraph,
+    WcetModel,
 };
 use fppn_time::TimeQ;
 use proptest::prelude::*;
@@ -110,6 +111,20 @@ proptest! {
         // Transitive reduction is idempotent.
         let mut g2 = g.clone();
         prop_assert_eq!(g2.transitive_reduction(), 0);
+    }
+
+    /// Reducing the full conflict-edge set of step 3 gives exactly the
+    /// derived graph's edges: the transitive reduction of a DAG is unique,
+    /// so the edge sets must match, not just the closures.
+    #[test]
+    fn reducing_the_unreduced_graph_gives_the_derived_edges(net in network_strategy()) {
+        let wcet = WcetModel::uniform(TimeQ::from_ms(5));
+        let d = derive_task_graph(&net, &wcet).unwrap();
+        let mut full = derive_task_graph_unreduced(&net, &wcet).unwrap().graph;
+        full.transitive_reduction();
+        prop_assert_eq!(full.jobs(), d.graph.jobs());
+        let edges = |g: &TaskGraph| g.edges().collect::<Vec<_>>();
+        prop_assert_eq!(edges(&full), edges(&d.graph));
     }
 
     /// ASAP/ALAP and load consistency.
