@@ -6,7 +6,7 @@
 //! sporadic configurators attached to random periodic users (satisfying the
 //! §III-A subclass restriction by construction). Behaviors are integer
 //! state machines, so observables are exactly comparable across execution
-//! backends.
+//! models (zero-delay reference, simulator, threaded runtime).
 
 use fppn_core::{
     BehaviorBank, ChannelId, ChannelKind, EventSpec, Fppn, FppnBuilder, JobCtx, PortId,
@@ -354,8 +354,7 @@ pub fn synthetic_task_graph(cfg: &SyntheticGraphConfig) -> TaskGraph {
 /// This is the substrate for data-plane scalability experiments: unlike
 /// the FMS/random multirate networks (whose behaviors are a handful of
 /// integer folds), each job here burns a tunable amount of CPU before
-/// writing, so behavior execution dominates the simulation and sharding it
-/// is measurable.
+/// writing, so behavior execution dominates the simulation.
 #[derive(Debug, Clone)]
 pub struct SyntheticFppnConfig {
     /// The layered shape: `jobs` becomes the process count, `depth`,

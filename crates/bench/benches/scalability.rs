@@ -7,7 +7,7 @@ use fppn_apps::{
     SyntheticFppnConfig, SyntheticGraphConfig, WorkloadConfig,
 };
 use fppn_sched::{list_schedule, Heuristic};
-use fppn_sim::{simulate_parallel, simulate_seq, SimConfig};
+use fppn_sim::{simulate, SimConfig};
 use fppn_taskgraph::derive_task_graph;
 
 fn fms_hyperperiod_sweep(c: &mut Criterion) {
@@ -70,8 +70,8 @@ fn synthetic_graph_sweep(c: &mut Criterion) {
     g.finish();
 }
 
-fn simulation_backend_sweep(c: &mut Criterion) {
-    let mut g = c.benchmark_group("simulation_backends");
+fn simulation_sweep(c: &mut Criterion) {
+    let mut g = c.benchmark_group("simulation");
     g.sample_size(10);
     let (net, bank, ids) = fms_network(FmsVariant::Reduced);
     let derived = derive_task_graph(&net, &fms_wcet(&ids)).unwrap();
@@ -82,51 +82,20 @@ fn simulation_backend_sweep(c: &mut Criterion) {
             frames,
             ..SimConfig::default()
         };
-        g.bench_with_input(BenchmarkId::new("seq", frames), &cfg, |b, cfg| {
+        g.bench_with_input(BenchmarkId::new("fms_reduced", frames), &cfg, |b, cfg| {
             b.iter(|| {
-                simulate_seq(&net, &bank, &stimuli, &derived, &schedule, cfg)
+                simulate(&net, &bank, &stimuli, &derived, &schedule, cfg)
                     .unwrap()
                     .records
                     .len()
             })
         });
-        for workers in [2usize, 4] {
-            let par = SimConfig { workers, ..cfg };
-            g.bench_with_input(
-                BenchmarkId::new(format!("par{workers}"), frames),
-                &par,
-                |b, cfg| {
-                    b.iter(|| {
-                        simulate_parallel(&net, &bank, &stimuli, &derived, &schedule, cfg)
-                            .unwrap()
-                            .records
-                            .len()
-                    })
-                },
-            );
-            let sharded = SimConfig {
-                parallel_behaviors: true,
-                ..par
-            };
-            g.bench_with_input(
-                BenchmarkId::new(format!("sharded{workers}"), frames),
-                &sharded,
-                |b, cfg| {
-                    b.iter(|| {
-                        simulate_parallel(&net, &bank, &stimuli, &derived, &schedule, cfg)
-                            .unwrap()
-                            .records
-                            .len()
-                    })
-                },
-            );
-        }
     }
     g.finish();
 }
 
-/// The sharded data plane on the workload it exists for: behavior-heavy
-/// synthetic FPPNs whose generated kernels dominate the simulation.
+/// Behavior-heavy synthetic FPPNs whose generated kernels dominate the
+/// simulation.
 fn behavior_plane_sweep(c: &mut Criterion) {
     let mut g = c.benchmark_group("behavior_plane");
     g.sample_size(10);
@@ -143,41 +112,13 @@ fn behavior_plane_sweep(c: &mut Criterion) {
     let derived = derive_task_graph(&w.net, &w.wcet).unwrap();
     let schedule = list_schedule(&derived.graph, 4, Heuristic::AlapEdf);
     let stimuli = fppn_core::Stimuli::new();
-    let base = SimConfig {
+    let cfg = SimConfig {
         frames: 4,
         ..SimConfig::default()
     };
-    g.bench_with_input(BenchmarkId::new("seq", 48), &base, |b, cfg| {
+    g.bench_with_input(BenchmarkId::new("seq", 48), &cfg, |b, cfg| {
         b.iter(|| {
-            simulate_seq(&w.net, &w.bank, &stimuli, &derived, &schedule, cfg)
-                .unwrap()
-                .records
-                .len()
-        })
-    });
-    for (label, parallel_behaviors) in [("par4_serialized", false), ("par4_sharded", true)] {
-        let cfg = SimConfig {
-            workers: 4,
-            parallel_behaviors,
-            ..base
-        };
-        g.bench_with_input(BenchmarkId::new(label, 48), &cfg, |b, cfg| {
-            b.iter(|| {
-                simulate_parallel(&w.net, &w.bank, &stimuli, &derived, &schedule, cfg)
-                    .unwrap()
-                    .records
-                    .len()
-            })
-        });
-    }
-    let pipelined = SimConfig {
-        workers: 4,
-        pipeline: true,
-        ..base
-    };
-    g.bench_with_input(BenchmarkId::new("pipeline4", 48), &pipelined, |b, cfg| {
-        b.iter(|| {
-            fppn_sim::simulate_pipelined(&w.net, &w.bank, &stimuli, &derived, &schedule, cfg)
+            simulate(&w.net, &w.bank, &stimuli, &derived, &schedule, cfg)
                 .unwrap()
                 .records
                 .len()
@@ -191,7 +132,7 @@ criterion_group!(
     fms_hyperperiod_sweep,
     random_network_sweep,
     synthetic_graph_sweep,
-    simulation_backend_sweep,
+    simulation_sweep,
     behavior_plane_sweep
 );
 criterion_main!(scalability);

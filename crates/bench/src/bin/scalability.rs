@@ -13,38 +13,27 @@
 //! * `--budget-ms MS` — wall-clock guard: exit non-zero if the whole run
 //!   exceeds `MS` milliseconds (default 0 = unlimited). An accidental
 //!   O(n²) regression blows straight through any sane budget.
-//! * `--workers N` — worker threads for the parallel simulation sweeps
-//!   (default 4; `0` skips the simulation sweeps entirely),
-//! * `--sim-frames N` — schedule frames per simulation measurement
-//!   (default 8; the ~100k-round tier scales this ×4),
-//! * `--bench-reps N` — repetitions per simulation measurement; the
-//!   **median** is reported (default 3 — single draws on a shared box are
-//!   too noisy for the `bench_diff` regression gate),
-//! * `--bench-json PATH` — where to write the machine-readable simulation
-//!   measurements (default `BENCH_sim.json`; CI diffs this against the
-//!   committed baseline with `bench_diff --relative-to seq_ms`).
 //!
 //! With `FPPN_ALLOC_STATS=1` and the `alloc-stats` feature, the bin also
 //! reports heap-allocation counts for the steady-state round loop (the
 //! zero-alloc claim of the SoA round engine), via a counting global
 //! allocator — kept off by default so normal runs measure the real one.
+//!
+//! Run and serve speed are measured end to end by the repository
+//! benchmark (`benchmark/`, workloads `run-fms` and `serve-mix`).
 
-use std::fmt::Write as _;
-use std::sync::Arc;
-use std::time::{Duration, Instant};
+use std::time::Instant;
 
 use fppn_apps::{
-    fft_network, fft_wcet, fms_network, fms_sporadics, fms_wcet, random_workload,
-    synthetic_fppn, synthetic_task_graph, FmsVariant, SyntheticFppnConfig,
+    fms_network, fms_wcet, random_workload, synthetic_task_graph, FmsVariant,
     SyntheticGraphConfig, WorkloadConfig,
 };
 use fppn_sched::{list_schedule, list_schedule_naive, Heuristic};
-use fppn_serve::{RunRequest, Server};
-use fppn_sim::{
-    clip_stimuli, simulate_parallel, simulate_pipelined, simulate_seq, tiled_sporadic_trace,
-    CompileConfig, CompiledNetwork, SimConfig,
-};
 use fppn_taskgraph::derive_task_graph;
+
+/// Schedule frames of the FMS run whose round loop `FPPN_ALLOC_STATS=1`
+/// measures.
+const ALLOC_STATS_FRAMES: u64 = 8;
 
 #[cfg(feature = "alloc-stats")]
 #[global_allocator]
@@ -62,9 +51,9 @@ fn alloc_stats_report(frames: u64) {
     let schedule = list_schedule(&derived.graph, 4, Heuristic::AlapEdf);
     let tables = fppn_sim::StaticTables::build(&net, &derived, &schedule);
     let stimuli = fppn_core::Stimuli::new();
-    let cfg = SimConfig {
+    let cfg = fppn_sim::SimConfig {
         frames,
-        ..SimConfig::default()
+        ..fppn_sim::SimConfig::default()
     };
     let mut rounds = fppn_sim::hotpath::SeqRounds::new(&net, &stimuli, &derived, &tables, &cfg)
         .expect("round tables");
@@ -87,132 +76,6 @@ fn alloc_stats_report(_frames: u64) {
         "\nFPPN_ALLOC_STATS=1 set, but the counting allocator is compiled out; \
          rebuild with `--features alloc-stats` to measure heap traffic"
     );
-}
-
-/// One simulation measurement destined for `BENCH_sim.json`.
-struct BenchRecord {
-    name: String,
-    rounds: usize,
-    workers: usize,
-    seq: Duration,
-    par: Duration,
-    sharded: Option<Duration>,
-    pipeline: Option<Duration>,
-    /// Sequential wall-clock with the frame memo on (`SimConfig::memo`);
-    /// `None` where the sweep does not measure the memo path.
-    memo: Option<Duration>,
-    memo_hits: u64,
-    memo_misses: u64,
-}
-
-/// One serve control-plane measurement (schema 4): repeated runs through
-/// the worker pool over one cached artifact. All metrics are
-/// informational in `bench_diff` — none carry the gated `_ms` suffix.
-struct ServeRecord {
-    name: String,
-    runs: usize,
-    workers: usize,
-    runs_per_sec: f64,
-    cache_hits: u64,
-    cache_misses: u64,
-    run_cache_hits: u64,
-    compile: Duration,
-    hit_lookup: Duration,
-    cold_run: Duration,
-    hit_run: Duration,
-}
-
-/// Hand-rolled JSON (no serde in the offline container): a stable shape
-/// `bench_diff` parses to track the perf trajectory across commits
-/// (schema `fppn-bench-sim/2` added `pipeline_ms`; `/3` added
-/// `rounds_per_sec`, the sequential round-computation throughput; `/4`
-/// adds the `serve` records — pool throughput, cache hit/miss counts and
-/// the compile-vs-cache-hit timing split, all informational; `/5` adds
-/// `memo_ms` (gated, like every `_ms` column) plus the informational
-/// `memo_hits`/`memo_misses` frame-memo counters and the serve
-/// `run_cache_hits` cross-run result-cache counter).
-fn write_bench_json(path: &str, records: &[BenchRecord], serve: &[ServeRecord]) {
-    let opt_ms = |d: Option<Duration>| {
-        d.map_or("null".to_owned(), |d| format!("{:.6}", d.as_secs_f64() * 1e3))
-    };
-    let us = |d: Duration| d.as_secs_f64() * 1e6;
-    let mut out = String::from("{\n");
-    let _ = writeln!(out, "  \"schema\": \"fppn-bench-sim/5\",");
-    let _ = writeln!(
-        out,
-        "  \"host_cpus\": {},",
-        std::thread::available_parallelism().map_or(1, |n| n.get())
-    );
-    let _ = writeln!(out, "  \"benches\": [");
-    for (i, r) in records.iter().enumerate() {
-        let _ = write!(
-            out,
-            "    {{\"name\": \"{}\", \"rounds\": {}, \"workers\": {}, \
-             \"seq_ms\": {:.6}, \"par_ms\": {:.6}, \"sharded_ms\": {}, \"pipeline_ms\": {}, \
-             \"memo_ms\": {}, \"memo_hits\": {}, \"memo_misses\": {}, \
-             \"rounds_per_sec\": {:.1}}}",
-            r.name,
-            r.rounds,
-            r.workers,
-            r.seq.as_secs_f64() * 1e3,
-            r.par.as_secs_f64() * 1e3,
-            opt_ms(r.sharded),
-            opt_ms(r.pipeline),
-            opt_ms(r.memo),
-            r.memo_hits,
-            r.memo_misses,
-            r.rounds as f64 / r.seq.as_secs_f64().max(1e-9),
-        );
-        out.push_str(if i + 1 < records.len() { ",\n" } else { "\n" });
-    }
-    let _ = writeln!(out, "  ],");
-    let _ = writeln!(out, "  \"serve\": [");
-    for (i, r) in serve.iter().enumerate() {
-        let _ = write!(
-            out,
-            "    {{\"name\": \"{}\", \"runs\": {}, \"workers\": {}, \
-             \"serve_runs_per_sec\": {:.1}, \"cache_hits\": {}, \"cache_misses\": {}, \
-             \"run_cache_hits\": {}, \
-             \"compile_us\": {:.1}, \"hit_lookup_us\": {:.1}, \"cold_run_us\": {:.1}, \
-             \"hit_run_us\": {:.1}}}",
-            r.name,
-            r.runs,
-            r.workers,
-            r.runs_per_sec,
-            r.cache_hits,
-            r.cache_misses,
-            r.run_cache_hits,
-            us(r.compile),
-            us(r.hit_lookup),
-            us(r.cold_run),
-            us(r.hit_run),
-        );
-        out.push_str(if i + 1 < serve.len() { ",\n" } else { "\n" });
-    }
-    out.push_str("  ]\n}\n");
-    match std::fs::write(path, &out) {
-        Ok(()) => println!(
-            "\nwrote {} simulation + {} serve measurements to {path}",
-            records.len(),
-            serve.len()
-        ),
-        Err(e) => eprintln!("could not write {path}: {e}"),
-    }
-}
-
-/// Runs `f` `reps` times and returns the last result with the **median**
-/// wall time — the same outlier defense as the criterion shim, so the
-/// `bench_diff` gate compares stable numbers instead of single draws.
-fn median_timed<T>(reps: usize, mut f: impl FnMut() -> T) -> (T, Duration) {
-    let mut times = Vec::with_capacity(reps);
-    let mut last = None;
-    for _ in 0..reps.max(1) {
-        let t0 = Instant::now();
-        last = Some(f());
-        times.push(t0.elapsed());
-    }
-    times.sort_unstable();
-    (last.expect("reps >= 1"), times[times.len() / 2])
 }
 
 fn measure(label: &str, net: &fppn_core::Fppn, wcet: &fppn_taskgraph::WcetModel) {
@@ -258,373 +121,6 @@ fn fms_speedup_check() {
     );
 }
 
-/// Sequential-vs-parallel simulation wall-clock on multi-frame policy
-/// tables, with a bit-identity cross-check on every run (the parallel
-/// backend is only interesting if its output is *exactly* the oracle's).
-///
-/// Where sporadic stimuli are driven, they are **hyperperiod-tiled**
-/// ([`tiled_sporadic_trace`]): every frame carries the same arrival
-/// pattern relative to its own base, so frames are exact time-translates
-/// and the `memo_ms` column measures real replay (hits), not a
-/// sweep-specific fallback.
-fn simulation_sweep(workers: usize, frames: u64, reps: usize, records: &mut Vec<BenchRecord>) {
-    println!(
-        "\nsimulation backends (seq vs {workers} workers vs memoized seq, median of {reps}, \
-         bit-identity checked):"
-    );
-    let (net, bank, ids) = fms_network(FmsVariant::Original);
-    let derived = derive_task_graph(&net, &fms_wcet(&ids)).expect("derivable");
-    // Two frame tiers (the base count and 4x — at the default
-    // --sim-frames 8 the large tier is ~100k rounds), each in two
-    // stimulus regimes: `fms/` is the paper's steady periodic operation
-    // (the sporadic configurators idle — every hyperperiod repeats, the
-    // regime the frame memo targets), `fms-sporadic/` drives the seven
-    // configurators with hyperperiod-tiled traces at density 400, so the
-    // arrival-gate machinery is measured at full table scale too.
-    for (label, prefix, density, frames) in [
-        ("FMS H=40s", "fms", 0u32, frames),
-        ("FMS H=40s (4x frames)", "fms", 0, frames * 4),
-        ("FMS H=40s sporadic", "fms-sporadic", 400, frames),
-        ("FMS H=40s sporadic 4x", "fms-sporadic", 400, frames * 4),
-    ] {
-        let mut stimuli = fppn_core::Stimuli::new();
-        if density > 0 {
-            for (i, sp) in fms_sporadics(&ids).into_iter().enumerate() {
-                let ev = net.process(sp).event();
-                stimuli.arrivals(
-                    sp,
-                    tiled_sporadic_trace(
-                        ev.burst(),
-                        ev.period(),
-                        derived.hyperperiod,
-                        frames,
-                        density,
-                        7 + i as u64,
-                    ),
-                );
-            }
-        }
-        let stimuli = clip_stimuli(&net, &derived, &stimuli, frames);
-        for m in [2usize, 4] {
-            let schedule = list_schedule(&derived.graph, m, Heuristic::AlapEdf);
-            let cfg = SimConfig {
-                frames,
-                ..SimConfig::default()
-            };
-            let memo_cfg = SimConfig { memo: true, ..cfg };
-            let (seq, t_seq) = median_timed(reps, || {
-                simulate_seq(&net, &bank, &stimuli, &derived, &schedule, &cfg)
-                    .expect("sequential simulation")
-            });
-            let (memo_run, t_memo) = median_timed(reps, || {
-                simulate_seq(&net, &bank, &stimuli, &derived, &schedule, &memo_cfg)
-                    .expect("memoized sequential simulation")
-            });
-            assert_eq!(seq.records, memo_run.records, "memo records diverged");
-            assert_eq!(
-                seq.observables, memo_run.observables,
-                "memo observables diverged"
-            );
-            // Hit/miss accounting comes from one extra rounds-only pass
-            // (the full-run path keeps its scratch private).
-            let tables = fppn_sim::StaticTables::build(&net, &derived, &schedule);
-            let mut rounds =
-                fppn_sim::hotpath::SeqRounds::new(&net, &stimuli, &derived, &tables, &memo_cfg)
-                    .expect("round tables");
-            rounds.compute().expect("memo stats pass");
-            let (memo_hits, memo_misses) = rounds.memo_stats();
-            let (par, t_par) = median_timed(reps, || {
-                simulate_parallel(
-                    &net,
-                    &bank,
-                    &stimuli,
-                    &derived,
-                    &schedule,
-                    &SimConfig { workers, ..cfg },
-                )
-                .expect("parallel simulation")
-            });
-            assert_eq!(seq.records, par.records, "backends diverged");
-            assert_eq!(seq.observables, par.observables, "observables diverged");
-            println!(
-                "{label:<22} frames={frames:>3} procs={m} | {:>6} rounds | seq {:>9.2?} | par({workers}) {:>9.2?} | memo {:>9.2?} ({memo_hits}h/{memo_misses}m) | memo vs seq {:.2}x",
-                seq.records.len(),
-                t_seq,
-                t_par,
-                t_memo,
-                t_seq.as_secs_f64() / t_memo.as_secs_f64().max(1e-9),
-            );
-            records.push(BenchRecord {
-                name: format!("{prefix}/frames{frames}/procs{m}"),
-                rounds: seq.records.len(),
-                workers,
-                seq: t_seq,
-                par: t_par,
-                sharded: None,
-                pipeline: None,
-                memo: Some(t_memo),
-                memo_hits,
-                memo_misses,
-            });
-        }
-    }
-}
-
-/// The data-plane sweep: the behavior-heavy synthetic FPPN (generated
-/// compute kernels) under seq, parallel-with-serialized-behaviors, the
-/// barrier sharded backend, and the streaming pipeline — bit-identity
-/// checked on every run. This is where "Parallelize behavior execution"
-/// and "Overlap behavior execution with round computation" are measured:
-/// on the FMS-style workloads above, behaviors are a few integer folds and
-/// the data plane is noise; here it dominates. The sporadic entry turns on
-/// the stimulus knobs so the server-slot machinery is in the hot loop too.
-fn behavior_sweep(workers: usize, frames: u64, reps: usize, records: &mut Vec<BenchRecord>) {
-    println!(
-        "\nbehavior-heavy data plane (seq vs par vs sharded vs pipeline, {workers} workers, \
-         median of {reps}, bit-identity checked):"
-    );
-    let shape = |jobs: usize, depth: usize| SyntheticGraphConfig {
-        jobs,
-        depth,
-        seed: jobs as u64,
-        ..SyntheticGraphConfig::default()
-    };
-    for (label, fppn_cfg) in [
-        (
-            "synthetic 48p light",
-            SyntheticFppnConfig {
-                shape: shape(48, 6),
-                compute_iters: (500, 2_000),
-                ..SyntheticFppnConfig::default()
-            },
-        ),
-        (
-            "synthetic 48p heavy",
-            SyntheticFppnConfig {
-                shape: shape(48, 6),
-                compute_iters: (10_000, 40_000),
-                ..SyntheticFppnConfig::default()
-            },
-        ),
-        (
-            "synthetic 120p heavy",
-            SyntheticFppnConfig {
-                shape: shape(120, 10),
-                compute_iters: (10_000, 40_000),
-                ..SyntheticFppnConfig::default()
-            },
-        ),
-        (
-            "synthetic 48p sporadic",
-            SyntheticFppnConfig {
-                shape: shape(48, 6),
-                compute_iters: (5_000, 20_000),
-                sporadic: 6,
-                input_permille: 400,
-                ..SyntheticFppnConfig::default()
-            },
-        ),
-    ] {
-        let w = synthetic_fppn(&fppn_cfg);
-        let derived = derive_task_graph(&w.net, &w.wcet).expect("derivable");
-        let schedule = list_schedule(&derived.graph, 4, Heuristic::AlapEdf);
-        let horizon = fppn_time::TimeQ::from_int(frames as i64) * derived.hyperperiod;
-        let stimuli = if fppn_cfg.sporadic > 0 {
-            clip_stimuli(
-                &w.net,
-                &derived,
-                &fppn_sim::random_stimuli(&w.net, horizon, 600, 99),
-                frames,
-            )
-        } else {
-            fppn_core::Stimuli::new()
-        };
-        let cfg = SimConfig {
-            frames,
-            ..SimConfig::default()
-        };
-        let (seq, t_seq) = median_timed(reps, || {
-            simulate_seq(&w.net, &w.bank, &stimuli, &derived, &schedule, &cfg)
-                .expect("sequential simulation")
-        });
-        let (par, t_par) = median_timed(reps, || {
-            simulate_parallel(
-                &w.net,
-                &w.bank,
-                &stimuli,
-                &derived,
-                &schedule,
-                &SimConfig { workers, ..cfg },
-            )
-            .expect("parallel simulation, serialized behaviors")
-        });
-        let (sharded, t_sharded) = median_timed(reps, || {
-            simulate_parallel(
-                &w.net,
-                &w.bank,
-                &stimuli,
-                &derived,
-                &schedule,
-                &SimConfig {
-                    workers,
-                    parallel_behaviors: true,
-                    ..cfg
-                },
-            )
-            .expect("parallel simulation, sharded behaviors")
-        });
-        let (pipeline, t_pipeline) = median_timed(reps, || {
-            simulate_pipelined(
-                &w.net,
-                &w.bank,
-                &stimuli,
-                &derived,
-                &schedule,
-                &SimConfig {
-                    workers,
-                    pipeline: true,
-                    ..cfg
-                },
-            )
-            .expect("pipelined simulation")
-        });
-        assert_eq!(seq.records, par.records, "par records diverged");
-        assert_eq!(seq.observables, par.observables, "par observables diverged");
-        assert_eq!(seq.records, sharded.records, "sharded records diverged");
-        assert_eq!(
-            seq.observables, sharded.observables,
-            "sharded observables diverged"
-        );
-        assert_eq!(seq.records, pipeline.records, "pipeline records diverged");
-        assert_eq!(
-            seq.observables, pipeline.observables,
-            "pipeline observables diverged"
-        );
-        println!(
-            "{label:<22} frames={frames:>3} | {:>6} rounds | seq {:>9.2?} | par {:>9.2?} | sharded {:>9.2?} | pipeline {:>9.2?} | pipeline vs seq {:.2}x, vs sharded {:.2}x",
-            seq.records.len(),
-            t_seq,
-            t_par,
-            t_sharded,
-            t_pipeline,
-            t_seq.as_secs_f64() / t_pipeline.as_secs_f64().max(1e-9),
-            t_sharded.as_secs_f64() / t_pipeline.as_secs_f64().max(1e-9),
-        );
-        records.push(BenchRecord {
-            name: format!("behavior-heavy/{}", label.replace(' ', "_")),
-            rounds: seq.records.len(),
-            workers,
-            seq: t_seq,
-            par: t_par,
-            sharded: Some(t_sharded),
-            pipeline: Some(t_pipeline),
-            memo: None,
-            memo_hits: 0,
-            memo_misses: 0,
-        });
-    }
-}
-
-/// The compile-once/run-many measurement: repeated runs through the
-/// `fppn-serve` pool over one cached artifact, against the FMS and FFT
-/// applications. The compile/hit-lookup/cold-run/hit-run timing split is
-/// the point — a cache hit must skip the compile phase entirely (the
-/// `compile_us` vs `hit_lookup_us` delta), and a run against the cached
-/// artifact must cost run-phase work only (`cold_run_us` vs `hit_run_us`).
-fn serve_sweep(workers: usize, reps: usize, records: &mut Vec<ServeRecord>) {
-    println!("\nserve control plane (pool of {workers}, repeated runs over one cached artifact):");
-    let (fms_net, fms_bank, fms_ids) = fms_network(FmsVariant::Original);
-    let (fft_net, fft_bank, _) = fft_network();
-    for (label, net, bank, ccfg, frames) in [
-        (
-            "serve/fms",
-            fms_net,
-            fms_bank,
-            CompileConfig::new(fms_wcet(&fms_ids), 2),
-            4u64,
-        ),
-        ("serve/fft", fft_net, fft_bank, CompileConfig::new(fft_wcet(), 2), 8),
-    ] {
-        let bank = Arc::new(bank);
-        // Run cache on: the pool throughput batch below submits identical
-        // requests, so all but the first resolve from the cross-run result
-        // cache — the `run_cache_hits` column records exactly that.
-        let server = Server::with_config(&fppn_serve::ServerConfig {
-            workers,
-            run_cache_entries: Some(64),
-            ..fppn_serve::ServerConfig::default()
-        });
-        server.register_tenant("bench", 1_000_000);
-
-        // The one compile (a cache miss), then pure-lookup hits.
-        let (_, t_compile) =
-            median_timed(reps, || CompiledNetwork::compile(net.clone(), &ccfg).expect("compiles"));
-        let (artifact, t_hit_lookup) = median_timed(reps.max(3), || {
-            server.cache().get_or_compile(&net, &ccfg).expect("compiles")
-        });
-        let cfg = SimConfig {
-            frames,
-            ..SimConfig::default()
-        };
-        // Cold run = compile + run; hit run = run against the artifact.
-        let (_, t_cold_run) = median_timed(reps, || {
-            CompiledNetwork::compile(net.clone(), &ccfg)
-                .expect("compiles")
-                .simulate(&bank, &fppn_core::Stimuli::new(), &cfg)
-                .expect("cold run")
-        });
-        let (_, t_hit_run) = median_timed(reps, || {
-            artifact
-                .simulate(&bank, &fppn_core::Stimuli::new(), &cfg)
-                .expect("hit run")
-        });
-
-        // Pool throughput: queue a batch, wait for all tickets.
-        let runs = 8 * reps.max(2);
-        let t0 = Instant::now();
-        let tickets: Vec<_> = (0..runs)
-            .map(|_| {
-                let artifact = server.cache().get_or_compile(&net, &ccfg).expect("cache hit");
-                server
-                    .submit(
-                        "bench",
-                        RunRequest::new(
-                            artifact,
-                            Arc::clone(&bank),
-                            fppn_core::Stimuli::new(),
-                            cfg,
-                        ),
-                    )
-                    .expect("within budget")
-            })
-            .collect();
-        for t in tickets {
-            t.wait().expect("pool run");
-        }
-        let wall = t0.elapsed();
-        let runs_per_sec = runs as f64 / wall.as_secs_f64().max(1e-9);
-        let run_cache_hits = server.run_cache().map_or(0, |c| c.hits());
-        println!(
-            "{label:<22} {runs:>3} runs | {runs_per_sec:>8.1} runs/s | compile {t_compile:>9.2?} vs hit lookup {t_hit_lookup:>9.2?} | cold run {t_cold_run:>9.2?} vs hit run {t_hit_run:>9.2?} | cache {}h/{}m | run-cache {run_cache_hits}h",
-            server.cache().hits(),
-            server.cache().misses(),
-        );
-        records.push(ServeRecord {
-            name: label.to_owned(),
-            runs,
-            workers,
-            runs_per_sec,
-            cache_hits: server.cache().hits(),
-            cache_misses: server.cache().misses(),
-            run_cache_hits,
-            compile: t_compile,
-            hit_lookup: t_hit_lookup,
-            cold_run: t_cold_run,
-            hit_run: t_hit_run,
-        });
-    }
-}
-
 fn synthetic_sweep(max_jobs: usize) {
     println!("\nsynthetic layered DAGs (jobs x shape x heuristic, 4 processors):");
     for &jobs in &[1_000usize, 10_000, 100_000] {
@@ -662,16 +158,8 @@ fn synthetic_sweep(max_jobs: usize) {
 fn main() {
     let mut synthetic_jobs = 100_000usize;
     let mut budget_ms = 0u64;
-    let mut workers = 4usize;
-    let mut sim_frames = 8u64;
-    let mut bench_reps = 3usize;
-    let mut bench_json = "BENCH_sim.json".to_owned();
     let mut args = std::env::args().skip(1);
     while let Some(flag) = args.next() {
-        if flag == "--bench-json" {
-            bench_json = args.next().expect("--bench-json needs a path argument");
-            continue;
-        }
         let mut grab = |name: &str| {
             args.next()
                 .and_then(|v| v.parse::<u64>().ok())
@@ -680,13 +168,7 @@ fn main() {
         match flag.as_str() {
             "--synthetic-jobs" => synthetic_jobs = grab("--synthetic-jobs") as usize,
             "--budget-ms" => budget_ms = grab("--budget-ms"),
-            "--workers" => workers = grab("--workers") as usize,
-            "--sim-frames" => sim_frames = grab("--sim-frames").max(1),
-            "--bench-reps" => bench_reps = grab("--bench-reps").max(1) as usize,
-            other => panic!(
-                "unknown flag {other}; known: --synthetic-jobs N, --budget-ms MS, \
-                 --workers N, --sim-frames N, --bench-reps N, --bench-json PATH"
-            ),
+            other => panic!("unknown flag {other}; known: --synthetic-jobs N, --budget-ms MS"),
         }
     }
     let wall = Instant::now();
@@ -719,17 +201,8 @@ fn main() {
 
     synthetic_sweep(synthetic_jobs);
 
-    let mut records = Vec::new();
-    let mut serve_records = Vec::new();
-    if workers > 0 {
-        simulation_sweep(workers, sim_frames, bench_reps, &mut records);
-        behavior_sweep(workers, sim_frames.min(4), bench_reps, &mut records);
-        serve_sweep(workers, bench_reps, &mut serve_records);
-    }
-    write_bench_json(&bench_json, &records, &serve_records);
-
     if std::env::var("FPPN_ALLOC_STATS").is_ok_and(|v| v == "1") {
-        alloc_stats_report(sim_frames);
+        alloc_stats_report(ALLOC_STATS_FRAMES);
     }
 
     let elapsed = wall.elapsed();

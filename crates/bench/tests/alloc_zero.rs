@@ -1,7 +1,8 @@
 //! Regression test for the SoA round engine's zero-alloc steady state:
 //! after one warm-up pass, recomputing every round of a pinned FMS
 //! workload into the reused [`fppn_sim::hotpath::SeqRounds`] scratch
-//! buffers must perform **zero** heap allocations.
+//! buffers must perform **zero** heap allocations — both in the default
+//! loop, where the frame memo engages, and in the memo-off reference.
 //!
 //! The test binary installs its own counting `#[global_allocator]` (an
 //! integration test is a separate crate root, so this never affects the
@@ -62,6 +63,8 @@ mod counting_impl {
 #[global_allocator]
 static ALLOC: CountingAlloc = CountingAlloc;
 
+/// The memo-off reference loop: every frame computed live into the reused
+/// scratch buffers.
 #[test]
 fn steady_state_round_computation_allocates_nothing() {
     use fppn_apps::{fms_network, fms_wcet, FmsVariant};
@@ -79,8 +82,8 @@ fn steady_state_round_computation_allocates_nothing() {
         frames: 8,
         ..SimConfig::default()
     };
-    let mut rounds =
-        SeqRounds::new(&net, &stimuli, &derived, &tables, &cfg).expect("round tables");
+    let mut rounds = SeqRounds::new_reference(&net, &stimuli, &derived, &tables, &cfg)
+        .expect("round tables");
 
     // Warm-up: grows every scratch buffer to its final capacity.
     let n = rounds.compute().expect("warm-up compute");
@@ -92,6 +95,7 @@ fn steady_state_round_computation_allocates_nothing() {
         assert_eq!(again, n, "round count must be stable across recomputes");
     }
     let delta = allocations() - before;
+    assert_eq!(rounds.memo_stats(), (0, 0), "the reference never consults the memo");
     assert_eq!(
         delta, 0,
         "steady-state round loop allocated {delta} times; the RoundScratch \
@@ -144,10 +148,10 @@ fn steady_state_with_armed_cancel_token_allocates_nothing() {
     assert!(!token.is_cancelled(), "the far deadline tripped mid-test");
 }
 
-/// Same gate with the frame memo engaged (`SimConfig::memo`): after the
+/// Same gate on the default loop, where the frame memo engages: after the
 /// warm-up compute has populated the memo and grown every entry buffer,
 /// steady-state recomputes must replay hit frames — fingerprint, table
-/// scan, record copy — without a single heap allocation. A memo that
+/// scan, content check, record copy — without a single heap allocation. A memo that
 /// allocates per hit would trade the zero-alloc steady state for its
 /// speedup; this pins that it does neither.
 #[test]
@@ -165,7 +169,6 @@ fn steady_state_with_frame_memo_allocates_nothing() {
     let stimuli = fppn_core::Stimuli::new();
     let cfg = SimConfig {
         frames: 8,
-        memo: true,
         ..SimConfig::default()
     };
     let mut rounds =

@@ -92,9 +92,7 @@ impl ArtifactCache {
 /// run's output is a function of — the compiled artifact's content hash
 /// (network + WCET model + schedule), the complete [`Stimuli`]
 /// (Prop. 2.1: the run-specific input in its entirety), and the
-/// *semantic* [`SimConfig`] fields (frames, overhead model, exec-time
-/// model; backend-selection knobs are excluded because every backend is
-/// bit-identical by contract).
+/// whole [`SimConfig`] (frames, overhead model, exec-time model).
 ///
 /// Deliberately **not** part of the key: the behavior bank. Behaviors are
 /// arbitrary code and cannot be content-hashed, so [`RunCache`] guards
@@ -121,8 +119,8 @@ struct RunEntry {
 /// simulation scale to lookup scale.
 ///
 /// Soundness rests on determinism end to end: the simulator is a pure
-/// function of `(artifact, stimuli, semantic config)` (Prop. 2.1 plus the
-/// cross-backend bit-identity contract), so equal keys denote equal
+/// function of `(artifact, stimuli, config)` (Prop. 2.1 plus the
+/// memo-vs-reference bit-identity contract), so equal keys denote equal
 /// outputs. Two guards keep the pure-function claim honest:
 ///
 /// * behavior code is not hashable, so a hit additionally requires the
@@ -331,5 +329,95 @@ mod tests {
         // FIFO slot and no eviction.
         cache.insert(key ^ 2, Arc::clone(&bank), run);
         assert_eq!(cache.len(), 2);
+    }
+
+    /// Every `SimConfig` field changes what a run computes, so changing
+    /// any one of them must move the key: frames, each overhead time,
+    /// each exec-time model variant, and every `Jitter` parameter.
+    #[test]
+    fn run_key_moves_with_every_sim_config_field() {
+        use fppn_sim::{ExecTimeModel, OverheadModel};
+        let ms = TimeQ::from_ms;
+        let cfg = CompileConfig::new(WcetModel::uniform(ms(10)), 2);
+        let artifact = CompiledNetwork::compile(net(), &cfg).unwrap();
+        let jitter = |lo_permille, hi_permille, seed| ExecTimeModel::Jitter {
+            lo_permille,
+            hi_permille,
+            seed,
+        };
+        let base = SimConfig {
+            frames: 2,
+            overhead: OverheadModel {
+                first_frame: ms(4),
+                steady_frame: ms(2),
+            },
+            exec_time: jitter(500, 1000, 7),
+        };
+        let mut keys = vec![("baseline", run_key(&artifact, &Stimuli::new(), &base))];
+        for (what, config) in [
+            ("frames", SimConfig { frames: 3, ..base }),
+            (
+                "first-frame overhead",
+                SimConfig {
+                    overhead: OverheadModel {
+                        first_frame: ms(5),
+                        ..base.overhead
+                    },
+                    ..base
+                },
+            ),
+            (
+                "steady-frame overhead",
+                SimConfig {
+                    overhead: OverheadModel {
+                        steady_frame: ms(3),
+                        ..base.overhead
+                    },
+                    ..base
+                },
+            ),
+            (
+                "Wcet model",
+                SimConfig {
+                    exec_time: ExecTimeModel::Wcet,
+                    ..base
+                },
+            ),
+            (
+                "Scaled model",
+                SimConfig {
+                    exec_time: ExecTimeModel::Scaled { num: 1, den: 2 },
+                    ..base
+                },
+            ),
+            (
+                "jitter lower bound",
+                SimConfig {
+                    exec_time: jitter(600, 1000, 7),
+                    ..base
+                },
+            ),
+            (
+                "jitter upper bound",
+                SimConfig {
+                    exec_time: jitter(500, 900, 7),
+                    ..base
+                },
+            ),
+            (
+                "jitter seed",
+                SimConfig {
+                    exec_time: jitter(500, 1000, 8),
+                    ..base
+                },
+            ),
+        ] {
+            keys.push((what, run_key(&artifact, &Stimuli::new(), &config)));
+        }
+        for (i, (a, ka)) in keys.iter().enumerate() {
+            for (b, kb) in &keys[i + 1..] {
+                assert_ne!(ka, kb, "{a} and {b} share a run key");
+            }
+        }
     }
 }

@@ -53,7 +53,7 @@ pub struct RunRequest {
     pub bank: Arc<BehaviorBank>,
     /// Sporadic arrivals and external inputs for this run.
     pub stimuli: Stimuli,
-    /// Run-phase configuration (frames, models, backend selection).
+    /// Run-phase configuration (frames, overhead and exec-time models).
     pub config: SimConfig,
     /// Optional wall-clock budget, measured from submission: a run still
     /// executing past it is cancelled at the next frame/behavior boundary
@@ -667,7 +667,7 @@ fn run_job(job: &Job, shared: &Shared, scratch: &mut RunScratch) -> Result<RunRe
         }
     }
     // Cross-run result cache: a warm identical request — same artifact
-    // content, same stimuli, same semantic config, same behavior-bank
+    // content, same stimuli, same config, same behavior-bank
     // `Arc` — returns the shared cached result without simulating. The
     // lookup sits after the shed check (an expired job stays shed: its
     // tenant asked for deadline semantics, not stale-fast answers) and

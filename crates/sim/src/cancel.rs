@@ -2,7 +2,7 @@
 //! deadlines and server shutdown in `fppn-serve`.
 //!
 //! A [`CancelToken`] is a cheap, cloneable handle checked *between* units
-//! of work — at round-scan and frame boundaries in every backend, and
+//! of work — at round-scan and frame boundaries in the round loop, and
 //! before each behavior job — never preemptively. Cooperative checks keep
 //! the determinism contract trivially intact: a cancelled run returns
 //! [`SimError::Cancelled`](crate::SimError::Cancelled) with partial
@@ -54,8 +54,8 @@ impl Inner {
     }
 }
 
-/// A cooperative cancellation handle: simulation backends poll it at round
-/// and frame boundaries and abandon the run with
+/// A cooperative cancellation handle: the simulation engine polls it at
+/// round and frame boundaries and abandons the run with
 /// [`SimError::Cancelled`](crate::SimError::Cancelled) once it trips —
 /// via [`CancelToken::cancel`], an expired deadline, or a tripped parent.
 ///

@@ -1,20 +1,25 @@
 //! A deliberately narrow public window onto the round-computation hot
-//! path, for allocation instrumentation.
+//! path, for allocation instrumentation and differential testing.
 //!
 //! The `RoundEngine` and its scratch buffers are crate-private; this module
 //! re-exposes exactly the "build once, recompute rounds into reused
 //! buffers" loop so `fppn-bench` can (a) assert the steady-state round
 //! loop performs zero heap allocations (the `alloc_zero` regression test)
 //! and (b) report allocation counts from the scalability bin under
-//! `FPPN_ALLOC_STATS=1`. It is `#[doc(hidden)]`: not a supported API,
-//! only a measurement seam.
+//! `FPPN_ALLOC_STATS=1`. It also keeps the **memo-off reference**: the
+//! round loop with the frame memo switched off
+//! ([`SeqRounds::new_reference`], [`simulate_memo_off`]), which the
+//! differential suite checks every replay against. It is
+//! `#[doc(hidden)]`: not a supported API, only a measurement and testing
+//! seam.
 
-use fppn_core::{Fppn, Stimuli};
+use fppn_core::{BehaviorBank, Fppn, Stimuli};
+use fppn_sched::StaticSchedule;
 use fppn_taskgraph::DerivedTaskGraph;
 
 use crate::cancel::CancelToken;
 use crate::compile::StaticTables;
-use crate::policy::{RoundEngine, RoundScratch, SimConfig, SimError};
+use crate::policy::{RoundEngine, RoundScratch, SimConfig, SimError, SimRun};
 
 /// Owns a [`RoundEngine`] plus its reusable [`RoundScratch`]: after one
 /// warm-up [`SeqRounds::compute`], further computes allocate nothing.
@@ -24,7 +29,8 @@ pub struct SeqRounds<'a> {
 }
 
 impl<'a> SeqRounds<'a> {
-    /// Builds the round tables for one simulation shape.
+    /// Builds the round tables for one simulation shape, with the frame
+    /// memo engaged wherever the engine engages it in a real run.
     ///
     /// # Errors
     ///
@@ -38,6 +44,25 @@ impl<'a> SeqRounds<'a> {
     ) -> Result<Self, SimError> {
         Ok(SeqRounds {
             engine: RoundEngine::new(net, stimuli, derived, tables, config)?,
+            scratch: RoundScratch::new(),
+        })
+    }
+
+    /// Like [`SeqRounds::new`], but with the frame memo switched off: the
+    /// reference loop that computes every frame live.
+    ///
+    /// # Errors
+    ///
+    /// Returns [`SimError`] on stimuli inconsistent with the network.
+    pub fn new_reference(
+        net: &Fppn,
+        stimuli: &Stimuli,
+        derived: &'a DerivedTaskGraph,
+        tables: &'a StaticTables,
+        config: &SimConfig,
+    ) -> Result<Self, SimError> {
+        Ok(SeqRounds {
+            engine: RoundEngine::new(net, stimuli, derived, tables, config)?.without_memo(),
             scratch: RoundScratch::new(),
         })
     }
@@ -56,14 +81,13 @@ impl<'a> SeqRounds<'a> {
     ///
     /// Returns [`SimError::Stalled`] on a structurally invalid schedule.
     pub fn compute(&mut self) -> Result<usize, SimError> {
-        self.engine.compute_rounds_seq_into(&mut self.scratch)?;
+        self.engine.compute_rounds_into(&mut self.scratch)?;
         Ok(self.scratch.records.len())
     }
 
     /// Cumulative frame-memo `(hits, misses)` across every [`Self::compute`]
-    /// so far. Both zero unless the memo engaged (enabled via
-    /// [`SimConfig`](crate::SimConfig) `memo` / `FPPN_SIM_MEMO`, `Wcet`
-    /// exec model, no bounded FIFOs).
+    /// so far. Both zero unless the memo engaged (`Wcet` exec model, no
+    /// bounded FIFOs, at least two frames, not the reference loop).
     pub fn memo_stats(&self) -> (u64, u64) {
         self.scratch.memo_stats()
     }
@@ -86,4 +110,27 @@ impl<'a> SeqRounds<'a> {
             .compute_rounds_fingerprinted(&mut self.scratch, fingerprints)?;
         Ok(self.scratch.records.clone())
     }
+}
+
+/// [`crate::simulate`] with the frame memo switched off: every frame is
+/// computed live. The reference a replayed run must equal on every
+/// [`SimRun`] field.
+///
+/// # Errors
+///
+/// Returns [`SimError`] on invalid stimuli, behavior failures, or a
+/// deadlocked (structurally invalid) schedule.
+pub fn simulate_memo_off(
+    net: &Fppn,
+    bank: &BehaviorBank,
+    stimuli: &Stimuli,
+    derived: &DerivedTaskGraph,
+    schedule: &StaticSchedule,
+    config: &SimConfig,
+) -> Result<SimRun, SimError> {
+    let tables = StaticTables::build(net, derived, schedule);
+    let engine = RoundEngine::new(net, stimuli, derived, &tables, config)?.without_memo();
+    let mut scratch = RoundScratch::new();
+    engine.compute_rounds_into(&mut scratch)?;
+    engine.finalize(net, bank, stimuli, std::mem::take(&mut scratch.records))
 }

@@ -11,43 +11,36 @@
 //! outputs can be compared bit-for-bit against the zero-delay reference of
 //! `fppn-core` — the workspace's mechanized check of Prop. 4.1.
 //!
-//! Three backends share the round computation: [`simulate_seq`] (the
-//! single-threaded oracle), [`simulate_parallel`] (per-processor timelines
-//! on a worker pool — Prop. 4.1 is precisely the license to parallelize,
-//! with an optional sharded data plane behind a barrier), and
-//! [`simulate_pipelined`] (the streaming frame pipeline: behaviors launch
-//! as soon as their round records are canonically committed, overlapping
-//! the data plane with round computation — no barrier at all). The
-//! differential test-suite proves all three bit-identical. [`simulate`]
-//! dispatches on [`SimConfig`] (`workers == 0` / the `pipeline` flag
-//! resolve from the `FPPN_SIM_WORKERS` / `FPPN_SIM_PIPELINE` environment
-//! variables — see [`SimEnv`]).
+//! One sequential engine computes every run. Its round loop memoizes
+//! frames wherever replay can hit: under the [`ExecTimeModel::Wcet`] model,
+//! on a network without bounded-capacity FIFOs, over at least two frames.
+//! A frame whose input equals an earlier frame's, relative to each frame's
+//! base and confirmed by content, replays that frame's rounds shifted in
+//! time. [`SimConfig`] holds only what a run computes: frames, overhead
+//! model and execution-time model. Concurrency lives across runs, in the
+//! `fppn-serve` pool, and on real threads in `fppn-runtime`.
 //!
 //! The compile phase (task-graph derivation, list scheduling, round
 //! tables) is split from the run phase: [`CompiledNetwork`] reifies it as
 //! an immutable, content-hash-keyed artifact ([`compile_key`]) so many
-//! runs — any backend, any stimuli — execute against one borrowed compile.
-//! The classic entry points are thin compile+run wrappers over it;
-//! `fppn-serve` adds an artifact cache and a multi-tenant run pool on top.
+//! runs — any stimuli, any config — execute against one borrowed compile.
+//! [`simulate`] is a thin compile+run wrapper over it; `fppn-serve` adds
+//! an artifact cache and a multi-tenant run pool on top.
 //!
-//! See [`simulate`] for the entry point and `fppn-apps`/`fppn-bench` for
-//! full reproductions of the paper's Figures 4 and 6.
+//! See `fppn-apps`/`fppn-bench` for full reproductions of the paper's
+//! Figures 4 and 6.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
-mod behavior;
 mod cancel;
 mod compile;
-mod env;
 mod exectime;
 mod gantt;
 #[doc(hidden)]
 pub mod hotpath;
 mod metrics;
 mod overhead;
-mod parallel;
-mod pipeline;
 mod policy;
 mod stimgen;
 
@@ -55,7 +48,6 @@ pub use cancel::CancelToken;
 pub use compile::{
     compile_key, CompileConfig, CompileError, CompiledNetwork, RunScratch, StaticTables,
 };
-pub use env::{SimEnv, SimEnvError};
 pub use exectime::{ExecTimeModel, ExecTimeSampler};
 pub use gantt::{Gantt, Segment, SegmentKind};
 pub use metrics::{
@@ -63,11 +55,7 @@ pub use metrics::{
     ResponseStats,
 };
 pub use overhead::OverheadModel;
-pub use parallel::simulate_parallel;
-pub use pipeline::simulate_pipelined;
-pub use policy::{
-    clip_stimuli, simulate, simulate_seq, JobRecord, SimConfig, SimError, SimRun, SimStats,
-};
+pub use policy::{clip_stimuli, simulate, JobRecord, SimConfig, SimError, SimRun, SimStats};
 pub use stimgen::adversarial::{adversarial_stimuli, max_density_flood_trace, AdversarialClass};
 pub use stimgen::{
     random_sporadic_trace, random_stimuli, sporadic_processes, tiled_sporadic_trace,

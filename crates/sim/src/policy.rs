@@ -25,19 +25,18 @@
 //! yields [`Observables`] that must equal the zero-delay reference
 //! (Prop. 4.1 — asserted by the integration test-suite).
 //!
-//! Two backends share this round computation: [`simulate_seq`] walks the
-//! per-processor cursors on one thread, while
-//! [`simulate_parallel`](crate::simulate_parallel) shards the per-processor
-//! timelines across a worker pool (see `parallel.rs` for the determinism
-//! argument). [`simulate`] dispatches on
-//! [`SimConfig::workers`].
+//! One engine computes every run. Its round loop is frame-major and
+//! memoized wherever replay can hit (see [`RoundEngine`]): a frame whose
+//! input equals an earlier frame's, relative to each frame's base, replays
+//! that frame's rounds shifted in time instead of recomputing them. The
+//! memo-off loop stays as the reference the differential suite checks
+//! replay against ([`crate::hotpath`]).
 
 use std::error::Error;
 use std::fmt;
 
 use fppn_core::{
-    BehaviorBank, ExecError, ExecState, Fppn, NetworkError, Observables, ProcessId,
-    SharedChannels, Stimuli,
+    BehaviorBank, ExecError, ExecState, Fppn, NetworkError, Observables, ProcessId, Stimuli,
 };
 use fppn_taskgraph::{DerivedTaskGraph, JobId, TaskGraph};
 use fppn_sched::StaticSchedule;
@@ -45,12 +44,12 @@ use fppn_time::{ContentHasher, TimeQ};
 
 use crate::cancel::CancelToken;
 use crate::compile::StaticTables;
-use crate::env::{SimEnv, SimEnvError};
 use crate::exectime::ExecTimeModel;
 use crate::gantt::{Gantt, Segment, SegmentKind};
 use crate::overhead::OverheadModel;
 
-/// Simulation parameters.
+/// Simulation parameters. Every field changes what a run computes; there
+/// is no execution-strategy knob.
 #[derive(Debug, Clone, Copy)]
 pub struct SimConfig {
     /// Number of schedule frames (hyperperiods) to simulate.
@@ -59,144 +58,24 @@ pub struct SimConfig {
     pub overhead: OverheadModel,
     /// Actual-execution-time model.
     pub exec_time: ExecTimeModel,
-    /// Simulation worker threads: `0` = auto (the `FPPN_SIM_WORKERS`
-    /// environment variable, else sequential), `1` = sequential, `n > 1` =
-    /// the parallel backend with `n` workers. Every setting produces
-    /// bit-identical results (Prop. 4.1 is the license to parallelize).
-    pub workers: usize,
-    /// Shard the *data plane* too: when enabled (directly or through the
-    /// `FPPN_SIM_PAR_BEHAVIORS` environment variable), the parallel backend
-    /// executes process behaviors on the worker pool, rendezvousing on
-    /// per-process progress counters derived from the static
-    /// channel-dependency map, instead of funneling every `run_job` through
-    /// one sequential store. Output stays bit-identical to
-    /// [`simulate_seq`]; networks the sharded store cannot express
-    /// (bounded-capacity cross-process FIFOs) fall back to sequential
-    /// behavior execution automatically.
-    pub parallel_behaviors: bool,
-    /// Stream the data plane behind round computation: when enabled
-    /// (directly or through the `FPPN_SIM_PIPELINE` environment variable),
-    /// [`simulate`] dispatches to the pipelined backend
-    /// ([`simulate_pipelined`](crate::simulate_pipelined)): round records
-    /// are published incrementally through a per-processor completion
-    /// frontier, and each behavior launches as soon as its own record and
-    /// its upstream writers' records are canonically committed — no
-    /// "all rounds first" barrier. Subsumes [`SimConfig::parallel_behaviors`]
-    /// (the pipeline shards the data plane whenever the network supports
-    /// it, and streams behaviors through the sequential store otherwise).
-    /// Output stays bit-identical to [`simulate_seq`].
-    pub pipeline: bool,
-    /// Frame-resolution memoization: when enabled (directly or through the
-    /// `FPPN_SIM_MEMO` environment variable), the sequential round loop
-    /// fingerprints each frame's carry-in state (processor availability and
-    /// wrap-predecessor completions relative to the frame base, the frame's
-    /// slot resolutions and release gate) and **replays** the round table
-    /// of an earlier fingerprint-equal frame — shifted by the frame offset —
-    /// instead of re-running slot resolution. A purely periodic workload
-    /// collapses to "compute one frame, replay the rest". Replay only
-    /// engages under the deterministic [`ExecTimeModel::Wcet`] model on
-    /// networks without bounded-capacity FIFOs; everything else (sporadic
-    /// frames whose fingerprints differ, stochastic exec models, bounded
-    /// FIFOs) falls back to full computation. Output is bit-identical
-    /// either way (asserted by the differential suite); the
-    /// parallel/pipelined round planes compute live and never consult the
-    /// memo.
-    pub memo: bool,
 }
 
 impl SimConfig {
-    /// The default configuration with every environment override applied:
-    /// `FPPN_SIM_WORKERS` → [`SimConfig::workers`], `FPPN_SIM_PAR_BEHAVIORS`
-    /// → [`SimConfig::parallel_behaviors`], `FPPN_SIM_PIPELINE` →
-    /// [`SimConfig::pipeline`] (see [`crate::SimEnv`] for the grammar).
-    ///
-    /// # Errors
-    ///
-    /// Returns [`SimEnvError`] — naming the offending variable — on an
-    /// invalid value; unset/empty variables keep the defaults.
-    pub fn from_env() -> Result<Self, SimEnvError> {
-        let env = SimEnv::from_env()?;
-        Ok(SimConfig {
-            workers: env.workers.unwrap_or(0),
-            parallel_behaviors: env.parallel_behaviors.unwrap_or(false),
-            pipeline: env.pipeline.unwrap_or(false),
-            memo: env.memo.unwrap_or(false),
-            ..SimConfig::default()
-        })
-    }
-
-    /// The worker count after resolving `workers == 0` against the
-    /// `FPPN_SIM_WORKERS` environment variable (absent/empty → 1).
-    ///
-    /// # Panics
-    ///
-    /// Panics with a message naming the variable if it holds an invalid
-    /// value (use [`SimConfig::from_env`] for a `Result`).
-    pub fn resolved_workers(&self) -> usize {
-        if self.workers != 0 {
-            return self.workers;
-        }
-        SimEnv::from_env_or_panic().workers.unwrap_or(1)
-    }
-
-    /// Whether behavior execution shards in the barrier backend: the
-    /// explicit field, or the `FPPN_SIM_PAR_BEHAVIORS` environment variable
-    /// when the field is unset — the hook the CI determinism job uses to
-    /// force the sharded data plane through the entire test-suite.
-    ///
-    /// # Panics
-    ///
-    /// Panics with a message naming the variable on an invalid value.
-    pub fn resolved_parallel_behaviors(&self) -> bool {
-        self.parallel_behaviors
-            || SimEnv::from_env_or_panic()
-                .parallel_behaviors
-                .unwrap_or(false)
-    }
-
-    /// Whether the streaming pipeline is requested: the explicit field, or
-    /// the `FPPN_SIM_PIPELINE` environment variable when the field is
-    /// unset — the hook the CI pipeline job uses to force the streaming
-    /// backend through the entire test-suite.
-    ///
-    /// # Panics
-    ///
-    /// Panics with a message naming the variable on an invalid value.
-    pub fn resolved_pipeline(&self) -> bool {
-        self.pipeline || SimEnv::from_env_or_panic().pipeline.unwrap_or(false)
-    }
-
-    /// Whether frame memoization is requested: the explicit field, or the
-    /// `FPPN_SIM_MEMO` environment variable when the field is unset — the
-    /// hook the CI memo job uses to force the memoized round loop through
-    /// the entire test-suite. Requesting the memo does not guarantee
-    /// replay: the engine additionally requires the deterministic
-    /// [`ExecTimeModel::Wcet`] model and a network without bounded-capacity
-    /// FIFOs before it consults the table at all.
-    ///
-    /// # Panics
-    ///
-    /// Panics with a message naming the variable on an invalid value.
-    pub fn resolved_memo(&self) -> bool {
-        self.memo || SimEnv::from_env_or_panic().memo.unwrap_or(false)
-    }
-
-    /// Absorbs the *semantic* configuration — the fields that change what a
-    /// simulation computes — into a content hash: frame count, overhead
-    /// model, and execution-time model (tagged, with its parameters,
-    /// including the `Jitter` seed).
-    ///
-    /// `workers`, `parallel_behaviors`, `pipeline` and `memo` are
-    /// deliberately **excluded**: every backend is bit-identical to the
-    /// sequential oracle (and the memoized loop to the plain one), so a
-    /// result cached under one backend is valid for all of them — that
-    /// cross-backend reuse is the point of keying the serve-layer
-    /// `RunCache` on this fingerprint.
+    /// Absorbs the configuration into a content hash: frame count,
+    /// overhead model, and execution-time model (tagged, with its
+    /// parameters, including the `Jitter` seed). The destructuring is
+    /// exhaustive, so a new field cannot be left out of the serve-layer
+    /// `RunCache` key unnoticed.
     pub fn content_hash_into(&self, h: &mut ContentHasher) {
-        h.write_u64(self.frames);
-        h.write_time(self.overhead.first_frame);
-        h.write_time(self.overhead.steady_frame);
-        match self.exec_time {
+        let SimConfig {
+            frames,
+            overhead,
+            exec_time,
+        } = *self;
+        h.write_u64(frames);
+        h.write_time(overhead.first_frame);
+        h.write_time(overhead.steady_frame);
+        match exec_time {
             ExecTimeModel::Wcet => h.write_u8(0),
             ExecTimeModel::Scaled { num, den } => {
                 h.write_u8(1);
@@ -223,10 +102,6 @@ impl Default for SimConfig {
             frames: 1,
             overhead: OverheadModel::NONE,
             exec_time: ExecTimeModel::Wcet,
-            workers: 0,
-            parallel_behaviors: false,
-            pipeline: false,
-            memo: false,
         }
     }
 }
@@ -304,7 +179,7 @@ pub enum SimError {
         completed_rounds: usize,
     },
     /// The run's [`CancelToken`](crate::CancelToken) tripped (explicit
-    /// cancel, expired deadline, or cancelled parent) and the backend
+    /// cancel, expired deadline, or cancelled parent) and the engine
     /// abandoned the run at a frame/round boundary.
     Cancelled {
         /// Rounds fully computed before the run observed the cancellation.
@@ -383,7 +258,7 @@ pub fn clip_stimuli(
     clipped
 }
 
-/// Reusable buffers for [`RoundEngine::compute_rounds_seq_into`]: the flat
+/// Reusable buffers for [`RoundEngine::compute_rounds_into`]: the flat
 /// completion table (`[frame * n_jobs + job]`), per-processor availability,
 /// the per-processor cursors and the output records. Owned by the caller
 /// so a steady-state loop recomputing rounds over the same engine shape
@@ -394,9 +269,8 @@ pub(crate) struct RoundScratch {
     proc_avail: Vec<TimeQ>,
     cursors: Vec<(u64, usize)>,
     pub(crate) records: Vec<JobRecord>,
-    /// Fingerprint-keyed frame memo for the memoized sequential loop.
-    /// Living in the scratch (hence in `RunScratch`) lets a serve worker's
-    /// steady state reuse the entry buffers run after run.
+    /// The frame memo. Living in the scratch (hence in `RunScratch`) lets
+    /// a serve worker's steady state reuse the entry buffers run after run.
     memo: FrameMemo,
 }
 
@@ -406,23 +280,27 @@ impl RoundScratch {
         Self::default()
     }
 
-    /// Cumulative frame-memo `(hits, misses)` over every memoized compute
-    /// into this scratch. Both stay zero when the memo never engages
-    /// (disabled, non-`Wcet` model, bounded FIFOs, or the plain loop).
+    /// Cumulative frame-memo `(hits, misses)` over every compute into this
+    /// scratch. Both stay zero while the memo never engages (non-`Wcet`
+    /// model, bounded FIFOs, a single frame, or the memo-off reference).
     pub(crate) fn memo_stats(&self) -> (u64, u64) {
         (self.memo.hits, self.memo.misses)
     }
 }
 
-/// A bounded, FNV-fingerprint-keyed table of computed frames.
+/// A bounded table of computed frames, indexed by a 64-bit FNV-1a
+/// fingerprint of each frame's input and verified by content.
 ///
 /// One entry memoizes one frame's full round table (records plus the
 /// processor-availability snapshot it leaves behind), stored **absolute**
 /// alongside the source frame's base time; replay shifts everything by
-/// `base_now − src_base`. The table is reset (keys cleared, entry buffers
-/// retained) at the start of every compute, so entries never leak across
-/// runs — cross-run reuse is purely of buffer *capacity*, which is what
-/// keeps the steady-state hit and re-insert paths allocation-free.
+/// `base_now − src_base`. The entry also keeps the carry-in the source
+/// frame was computed from, so a lookup only hits when the input really
+/// is equal: the fingerprint narrows the candidates, the content check
+/// decides. The table is reset (keys cleared, entry buffers retained) at
+/// the start of every compute, so entries never leak across runs —
+/// cross-run reuse is purely of buffer *capacity*, which is what keeps the
+/// steady-state hit and re-insert paths allocation-free.
 ///
 /// Lookup is a linear scan over at most [`FrameMemo::CAPACITY`] keys:
 /// distinct fingerprints per run are bounded by the distinct carry-in
@@ -442,17 +320,25 @@ struct FrameMemo {
     misses: u64,
 }
 
-/// One memoized frame: the records it produced and the per-processor
-/// availability it left, both absolute, plus the frame base they are
-/// relative to under translation.
+/// One memoized frame: the input it was computed from, relative to its
+/// base, and the records and per-processor availability it produced,
+/// absolute.
 #[derive(Debug, Default)]
 struct MemoEntry {
+    /// The source frame; its server-slot resolutions and release gate are
+    /// read back from the engine's slabs when a lookup checks content.
+    src_frame: u64,
     src_base: TimeQ,
+    /// Carry-in processor availability, `proc_avail − src_base`.
+    avail_in: Vec<TimeQ>,
+    /// Carry-in previous-frame completions at every wrap-predecessor slot,
+    /// `completion − src_base`; empty for frame 0, which has none.
+    wrap_in: Vec<TimeQ>,
     records: Vec<JobRecord>,
     avail_out: Vec<TimeQ>,
     /// The frame's completions at the wrap-predecessor jobs (absolute).
     /// These are the only completion slots any *later* frame reads — via
-    /// `wrap_preds_of` during computation and `wrap_pred_data` during
+    /// `wrap_preds_of` during computation and the carry-in during
     /// fingerprinting — so a replay hit fills just these few instead of
     /// storing all `n_jobs` completions back.
     wrap_out: Vec<(u32, TimeQ)>,
@@ -468,32 +354,32 @@ impl FrameMemo {
         self.next_evict = 0;
     }
 
-    /// Looks up a fingerprint, counting the hit or miss.
-    fn lookup(&mut self, fingerprint: u64) -> Option<usize> {
-        match self.keys.iter().position(|&k| k == fingerprint) {
-            Some(i) => {
-                self.hits += 1;
-                Some(i)
-            }
-            None => {
-                self.misses += 1;
-                None
-            }
-        }
-    }
-
-    /// Memoizes one computed frame, evicting round-robin when full. The
-    /// copy is `clear` + `extend_from_slice` into retained buffers:
-    /// allocation-free once the buffers have warmed to the frame size.
-    fn insert(
+    /// Finds an entry under `fingerprint` whose input `same_input`
+    /// confirms, counting the hit or miss. A fingerprint match whose
+    /// content differs is a miss.
+    fn lookup(
         &mut self,
         fingerprint: u64,
-        src_base: TimeQ,
-        records: &[JobRecord],
-        avail: &[TimeQ],
-        wrap_preds: &[JobId],
-        frame_completion: &[Option<TimeQ>],
-    ) {
+        same_input: impl Fn(&MemoEntry) -> bool,
+    ) -> Option<usize> {
+        let hit = self
+            .keys
+            .iter()
+            .zip(&self.entries)
+            .position(|(&k, entry)| k == fingerprint && same_input(entry));
+        if hit.is_some() {
+            self.hits += 1;
+        } else {
+            self.misses += 1;
+        }
+        hit
+    }
+
+    /// Claims the slot a newly computed frame is memoized in, evicting
+    /// round-robin when full, and returns its entry with every buffer
+    /// cleared. The caller refills the buffers with `extend`: allocation-free
+    /// once they have warmed to the frame size.
+    fn claim(&mut self, fingerprint: u64) -> &mut MemoEntry {
         let slot = if self.keys.len() < Self::CAPACITY {
             self.keys.push(fingerprint);
             if self.entries.len() < self.keys.len() {
@@ -507,25 +393,19 @@ impl FrameMemo {
             slot
         };
         let entry = &mut self.entries[slot];
-        entry.src_base = src_base;
+        entry.avail_in.clear();
+        entry.wrap_in.clear();
         entry.records.clear();
-        entry.records.extend_from_slice(records);
         entry.avail_out.clear();
-        entry.avail_out.extend_from_slice(avail);
         entry.wrap_out.clear();
-        for &p in wrap_preds {
-            let j = p.index();
-            let done = frame_completion[j].expect("memoized frames are complete");
-            entry.wrap_out.push((j as u32, done));
-        }
+        entry
     }
 }
 
-/// The frame-repeated policy table plus everything a backend needs to
-/// compute rounds: static per-processor orders, wrap-around predecessors,
-/// per-instance slot resolutions, pre-drawn execution times and per-frame
-/// release gates. Shared by the sequential and parallel backends so both
-/// perform *identical arithmetic* on every round.
+/// The frame-repeated policy table plus everything the round loop needs:
+/// static per-processor orders, wrap-around predecessors, per-instance
+/// slot resolutions, pre-drawn execution times and per-frame release
+/// gates.
 ///
 /// The compile-phase tables (CSR orders, wrap predecessors, topological
 /// positions, slot templates) are **borrowed** from a
@@ -535,10 +415,10 @@ impl FrameMemo {
 /// still flat struct-of-arrays indexed by `frame * n_jobs + job` so the
 /// steady-state loop does contiguous indexed loads.
 pub(crate) struct RoundEngine<'a> {
-    pub(crate) graph: &'a TaskGraph,
-    pub(crate) frames: u64,
-    pub(crate) n_jobs: usize,
-    pub(crate) m_procs: usize,
+    graph: &'a TaskGraph,
+    frames: u64,
+    n_jobs: usize,
+    m_procs: usize,
     /// Borrowed compile-phase tables (CSR orders, wrap preds, topo, …).
     tables: &'a StaticTables,
     /// Slot-resolution slabs, `[frame * n_jobs + job]`.
@@ -551,10 +431,10 @@ pub(crate) struct RoundEngine<'a> {
     frame_gates: Vec<TimeQ>,
     h: TimeQ,
     overhead: OverheadModel,
-    /// Whether the sequential loop may consult the frame memo: requested
-    /// via [`SimConfig::resolved_memo`] **and** sound to replay — the
-    /// deterministic [`ExecTimeModel::Wcet`] model on a network without
-    /// bounded-capacity FIFOs. Everything else computes every frame live.
+    /// Whether the round loop runs through the frame memo: whenever replay
+    /// is sound and can hit — the deterministic [`ExecTimeModel::Wcet`]
+    /// model, a network without bounded-capacity FIFOs, and at least two
+    /// frames. Everything else computes every frame live.
     memo_enabled: bool,
     /// Job indices whose slots are server (sporadic) slots — the only
     /// slots whose resolution can differ between frames relative to the
@@ -566,9 +446,9 @@ pub(crate) struct RoundEngine<'a> {
     /// once per compute. Empty unless the memo is enabled; the
     /// collision-audit path builds its own copy on demand.
     frame_fp_static: Vec<u64>,
-    /// Cooperative cancellation, polled at round/frame boundaries by every
-    /// backend. `None` (the default) compiles the checks down to a branch
-    /// on a constant — classic runs pay nothing.
+    /// Cooperative cancellation, polled at round/frame boundaries and per
+    /// behavior job. `None` (the default) compiles the checks down to a
+    /// branch on a constant — classic runs pay nothing.
     cancel: Option<&'a CancelToken>,
 }
 
@@ -603,8 +483,7 @@ impl<'a> RoundEngine<'a> {
         });
 
         // Pre-drawn execution times in canonical (frame, job-id) order, so
-        // the random draws do not depend on simulation internals (or on the
-        // backend executing the rounds).
+        // the random draws do not depend on simulation internals.
         let mut sampler = config.exec_time.sampler();
         let mut exec_times = Vec::with_capacity(total);
         for _ in 0..frames {
@@ -618,10 +497,10 @@ impl<'a> RoundEngine<'a> {
         // Replay is only sound when the exec-time draws are a pure function
         // of the job (`Wcet`: sample ≡ wcet, frame-invariant by
         // construction); the bounded-FIFO exclusion is deliberately
-        // conservative — round *times* ignore capacities, but capacity
-        // networks already take fallback paths elsewhere (sharding) and the
-        // differential suite pins this gate as a fallback case.
-        let memo_enabled = config.resolved_memo()
+        // conservative — round *times* ignore capacities, but the
+        // differential suite pins this gate as a fallback case. A single
+        // frame can never hit, so it skips the memo's bookkeeping.
+        let memo_enabled = frames >= 2
             && matches!(config.exec_time, ExecTimeModel::Wcet)
             && !net.channels().iter().any(|c| c.capacity().is_some());
 
@@ -637,12 +516,12 @@ impl<'a> RoundEngine<'a> {
             .collect();
         #[cfg(debug_assertions)]
         if memo_enabled {
-            // The fingerprint skips non-server slots because their
-            // resolution is frame-invariant relative to the frame base
-            // (`Template::Periodic`: invoked = base + A_i, deadline =
-            // invoked + D_i, always executable). Pin that template
-            // contract here so a future resolver change cannot silently
-            // unsound the memo.
+            // The fingerprint and the content check skip non-server slots
+            // because their resolution is frame-invariant relative to the
+            // frame base (`Template::Periodic`: invoked = base + A_i,
+            // deadline = invoked + D_i, always executable). Pin that
+            // template contract here so a future resolver change cannot
+            // silently unsound the memo.
             for f in 1..frames as usize {
                 let base = TimeQ::from_int(f as i64) * h;
                 for (j, job) in graph.jobs().iter().enumerate() {
@@ -681,6 +560,14 @@ impl<'a> RoundEngine<'a> {
         Ok(engine)
     }
 
+    /// The same engine with the frame memo switched off: the reference
+    /// loop that computes every frame live.
+    pub(crate) fn without_memo(mut self) -> Self {
+        self.memo_enabled = false;
+        self.frame_fp_static = Vec::new();
+        self
+    }
+
     /// Hashes each frame's static fingerprint contribution: the server
     /// slots' resolutions and the release gate, relative to the frame
     /// base. Everything else a frame's round computation depends on is
@@ -703,30 +590,25 @@ impl<'a> RoundEngine<'a> {
             .collect()
     }
 
-    /// Arms cooperative cancellation: every backend polls `token` at
-    /// round-scan / frame boundaries and returns
-    /// [`SimError::Cancelled`] once it trips.
+    /// Arms cooperative cancellation: the round loop polls `token` at
+    /// round-scan / frame boundaries, the behavior loop per job, and both
+    /// return [`SimError::Cancelled`] once it trips.
     pub(crate) fn set_cancel(&mut self, token: &'a CancelToken) {
         self.cancel = Some(token);
     }
 
     /// Whether the armed token (if any) has tripped. Allocation-free.
-    pub(crate) fn cancelled(&self) -> bool {
+    fn cancelled(&self) -> bool {
         self.cancel.is_some_and(CancelToken::is_cancelled)
     }
 
-    /// The armed token, for backends that hand it to behavior workers.
-    pub(crate) fn cancel_token(&self) -> Option<&'a CancelToken> {
-        self.cancel
-    }
-
     /// Total number of rounds over all frames.
-    pub(crate) fn total_rounds(&self) -> usize {
+    fn total_rounds(&self) -> usize {
         self.frames as usize * self.n_jobs
     }
 
     /// Processor `m`'s static round order.
-    pub(crate) fn proc_order(&self, m: usize) -> &[JobId] {
+    fn proc_order(&self, m: usize) -> &[JobId] {
         let t = self.tables;
         &t.proc_order_data[t.proc_order_bounds[m]..t.proc_order_bounds[m + 1]]
     }
@@ -745,7 +627,7 @@ impl<'a> RoundEngine<'a> {
     /// blocks), otherwise the finished [`JobRecord`]; the caller publishes
     /// `record.completion` as this round's completion and advances the
     /// processor's availability to it.
-    pub(crate) fn try_round(
+    fn try_round(
         &self,
         frame: u64,
         id: JobId,
@@ -803,87 +685,35 @@ impl<'a> RoundEngine<'a> {
         })
     }
 
-    /// Drives the per-processor cursors to completion on one thread,
-    /// calling `advance(frame, id, processor)` for the next round of each
-    /// timeline; `advance` returns whether that round could complete.
-    /// This is the single copy of the cursor/stall skeleton shared by the
-    /// sequential backend and the order pre-check, so their round order —
-    /// and their `Stalled { completed_rounds }` accounting — can never
-    /// drift apart.
-    fn drive_cursors(
-        &self,
-        cursors: &mut Vec<(u64, usize)>,
-        mut advance: impl FnMut(u64, JobId, usize) -> bool,
-    ) -> Result<(), SimError> {
-        let total_rounds = self.total_rounds();
-        cursors.clear();
-        cursors.resize(self.m_procs, (0u64, 0usize));
-        let mut done_rounds = 0usize;
-        while done_rounds < total_rounds {
-            if self.cancelled() {
-                return Err(SimError::Cancelled {
-                    completed_rounds: done_rounds,
-                });
-            }
-            let mut progressed = false;
-            for (m, cursor) in cursors.iter_mut().enumerate() {
-                let order = self.proc_order(m);
-                loop {
-                    let (frame, idx) = *cursor;
-                    if frame >= self.frames {
-                        break;
-                    }
-                    if idx >= order.len() {
-                        *cursor = (frame + 1, 0);
-                        continue;
-                    }
-                    if !advance(frame, order[idx], m) {
-                        break;
-                    }
-                    *cursor = (frame, idx + 1);
-                    done_rounds += 1;
-                    progressed = true;
-                }
-            }
-            if !progressed && done_rounds < total_rounds {
-                return Err(SimError::Stalled {
-                    completed_rounds: done_rounds,
-                });
-            }
-        }
-        Ok(())
-    }
-
-    /// Computes every round on one thread by polling per-processor cursors.
-    pub(crate) fn compute_rounds_seq(&self) -> Result<Vec<JobRecord>, SimError> {
-        let mut scratch = RoundScratch::new();
-        self.compute_rounds_seq_into(&mut scratch)?;
-        Ok(std::mem::take(&mut scratch.records))
-    }
-
-    /// [`RoundEngine::compute_rounds_seq`] into caller-owned scratch
-    /// buffers: after one warm-up pass over the same engine shape, repeated
-    /// calls perform **zero heap allocations** (asserted by the
-    /// `alloc_zero` regression test in `fppn-bench`). The computed records
-    /// are left in `scratch.records`.
+    /// Computes every round into caller-owned scratch buffers: after one
+    /// warm-up pass over the same engine shape, repeated calls perform
+    /// **zero heap allocations** (asserted by the `alloc_zero` regression
+    /// test in `fppn-bench`). The computed records are left in
+    /// `scratch.records`.
     ///
-    /// When the engine's memo gate is open this routes through the
-    /// fingerprint-keyed frame loop; a `Stalled` result there falls back to
-    /// the plain free-interleave loop, whose `completed_rounds` accounting
-    /// is the one every backend agrees on (frame-major driving can stop
-    /// earlier than the dataflow fixed point when a stall in frame `f`
+    /// When the memo is enabled this runs the frame-major memo loop; a
+    /// `Stalled` result there falls back to the reference loop, whose
+    /// `completed_rounds` accounting is the dataflow fixed point
+    /// (frame-major driving can stop earlier when a stall in frame `f`
     /// keeps it from ever attempting frame `f+1` rounds other processors
     /// could still finish).
-    pub(crate) fn compute_rounds_seq_into(
-        &self,
-        scratch: &mut RoundScratch,
-    ) -> Result<(), SimError> {
+    pub(crate) fn compute_rounds_into(&self, scratch: &mut RoundScratch) -> Result<(), SimError> {
         if self.memo_enabled {
-            match self.compute_rounds_memo_into(scratch) {
+            let fingerprint = |frame: u64, base, completion: &[_], proc_avail: &[_]| {
+                let static_fp = self.frame_fp_static[frame as usize];
+                self.frame_fingerprint(frame, base, completion, proc_avail, static_fp)
+            };
+            match self.compute_rounds_memo_into(scratch, fingerprint) {
                 Err(SimError::Stalled { .. }) => {}
                 other => return other,
             }
         }
+        self.compute_rounds_reference_into(scratch)
+    }
+
+    /// The memo-off reference loop: drives the per-processor cursors in
+    /// free interleaving until every round of every frame has completed.
+    fn compute_rounds_reference_into(&self, scratch: &mut RoundScratch) -> Result<(), SimError> {
         let RoundScratch {
             completion,
             proc_avail,
@@ -898,17 +728,47 @@ impl<'a> RoundEngine<'a> {
         records.clear();
         records.reserve(self.total_rounds());
         let n_jobs = self.n_jobs;
-        self.drive_cursors(cursors, |frame, id, m| {
-            let lookup =
-                |f: u64, p: JobId| completion[f as usize * n_jobs + p.index()];
-            let Some(rec) = self.try_round(frame, id, m, proc_avail[m], lookup) else {
-                return false;
-            };
-            completion[frame as usize * n_jobs + id.index()] = Some(rec.completion);
-            proc_avail[m] = rec.completion;
-            records.push(rec);
-            true
-        })
+        let total_rounds = self.total_rounds();
+        cursors.clear();
+        cursors.resize(self.m_procs, (0u64, 0usize));
+        while records.len() < total_rounds {
+            if self.cancelled() {
+                return Err(SimError::Cancelled {
+                    completed_rounds: records.len(),
+                });
+            }
+            let mut progressed = false;
+            for (m, cursor) in cursors.iter_mut().enumerate() {
+                let order = self.proc_order(m);
+                loop {
+                    let (frame, idx) = *cursor;
+                    if frame >= self.frames {
+                        break;
+                    }
+                    if idx >= order.len() {
+                        *cursor = (frame + 1, 0);
+                        continue;
+                    }
+                    let id = order[idx];
+                    let lookup =
+                        |f: u64, p: JobId| completion[f as usize * n_jobs + p.index()];
+                    let Some(rec) = self.try_round(frame, id, m, proc_avail[m], lookup) else {
+                        break;
+                    };
+                    completion[frame as usize * n_jobs + id.index()] = Some(rec.completion);
+                    proc_avail[m] = rec.completion;
+                    records.push(rec);
+                    *cursor = (frame, idx + 1);
+                    progressed = true;
+                }
+            }
+            if !progressed {
+                return Err(SimError::Stalled {
+                    completed_rounds: records.len(),
+                });
+            }
+        }
+        Ok(())
     }
 
     /// Fingerprints frame `frame`'s full round-computation input, relative
@@ -932,9 +792,10 @@ impl<'a> RoundEngine<'a> {
     ///
     /// Round arithmetic is built from `max` and `+` over these quantities
     /// plus the (frame-invariant under `Wcet`) execution times, so it is
-    /// equivariant under time translation: equal fingerprints ⇒ the frames'
-    /// round tables are exact translates of each other. That implication is
-    /// what the collision-audit proptest exercises.
+    /// equivariant under time translation: equal inputs ⇒ the frames'
+    /// round tables are exact translates of each other. The fingerprint
+    /// only indexes the memo; [`RoundEngine::same_frame_input`] checks the
+    /// inputs themselves before a replay.
     fn frame_fingerprint(
         &self,
         frame: u64,
@@ -966,6 +827,52 @@ impl<'a> RoundEngine<'a> {
         }
         h.write_u64_word(static_fp);
         h.finish()
+    }
+
+    /// Whether frame `frame` (at `base`) has exactly the input `entry`'s
+    /// source frame was computed from, relative to each frame's base: the
+    /// carry-in availability and wrap-predecessor completions stored in
+    /// the entry, and the server-slot resolutions and release gate read
+    /// from both frames' slabs. These are the quantities
+    /// [`RoundEngine::frame_fingerprint`] absorbs, compared instead of
+    /// hashed, so a fingerprint collision can never replay the wrong
+    /// rounds. Allocation-free.
+    fn same_frame_input(
+        &self,
+        entry: &MemoEntry,
+        frame: u64,
+        base: TimeQ,
+        completion: &[Option<TimeQ>],
+        proc_avail: &[TimeQ],
+    ) -> bool {
+        let avail_equal = proc_avail.len() == entry.avail_in.len()
+            && proc_avail
+                .iter()
+                .zip(&entry.avail_in)
+                .all(|(&now, &then)| now - base == then);
+        let wrap = &self.tables.wrap_pred_data;
+        let wrap_equal = if frame == 0 {
+            entry.wrap_in.is_empty()
+        } else {
+            let prev = (frame as usize - 1) * self.n_jobs;
+            wrap.len() == entry.wrap_in.len()
+                && wrap.iter().zip(&entry.wrap_in).all(|(p, &then)| {
+                    let done = completion[prev + p.index()]
+                        .expect("the content check runs after the previous frame completed");
+                    done - base == then
+                })
+        };
+        let src_frame = entry.src_frame as usize;
+        let (src, now) = (src_frame * self.n_jobs, frame as usize * self.n_jobs);
+        let src_base = entry.src_base;
+        let slots_equal = self.server_slots.iter().all(|&j| {
+            self.slot_executable[src + j] == self.slot_executable[now + j]
+                && self.slot_invoked[src + j] - src_base == self.slot_invoked[now + j] - base
+                && self.slot_deadline[src + j] - src_base == self.slot_deadline[now + j] - base
+        });
+        let gate_equal =
+            self.frame_gates[src_frame] - src_base == self.frame_gates[frame as usize] - base;
+        avail_equal && wrap_equal && slots_equal && gate_equal
     }
 
     /// Drives every processor's cursor through exactly one frame (free
@@ -1017,13 +924,17 @@ impl<'a> RoundEngine<'a> {
         Ok(())
     }
 
-    /// The memoized sequential loop: frame-major (valid because rounds
-    /// never depend on later frames and `canonicalize` makes record
-    /// production order irrelevant), fingerprinting each frame's carry-in
-    /// and replaying the memoized round table — every time shifted by the
-    /// frame-base delta — on a fingerprint hit. A periodic workload
-    /// computes frame 0 and replays the other `N−1`.
-    fn compute_rounds_memo_into(&self, scratch: &mut RoundScratch) -> Result<(), SimError> {
+    /// The memoized loop: frame-major (valid because rounds never depend
+    /// on later frames and `canonicalize` makes record production order
+    /// irrelevant), looking each frame's input up by `fingerprint` and
+    /// replaying the memoized round table — every time shifted by the
+    /// frame-base delta — when the content check confirms it. A periodic
+    /// workload computes frame 0 and replays the other `N−1`.
+    fn compute_rounds_memo_into(
+        &self,
+        scratch: &mut RoundScratch,
+        fingerprint: impl Fn(u64, TimeQ, &[Option<TimeQ>], &[TimeQ]) -> u64,
+    ) -> Result<(), SimError> {
         let RoundScratch {
             completion,
             proc_avail,
@@ -1039,16 +950,14 @@ impl<'a> RoundEngine<'a> {
         records.reserve(self.total_rounds());
         memo.reset();
         let n_jobs = self.n_jobs;
+        let wrap_preds = &self.tables.wrap_pred_data;
         for frame in 0..self.frames {
             let base = TimeQ::from_int(frame as i64) * self.h;
-            let fp = self.frame_fingerprint(
-                frame,
-                base,
-                completion,
-                proc_avail,
-                self.frame_fp_static[frame as usize],
-            );
-            if let Some(slot) = memo.lookup(fp) {
+            let fp = fingerprint(frame, base, completion, proc_avail);
+            let hit = memo.lookup(fp, |entry| {
+                self.same_frame_input(entry, frame, base, completion, proc_avail)
+            });
+            if let Some(slot) = hit {
                 let entry = &memo.entries[slot];
                 let delta = base - entry.src_base;
                 let out = frame as usize * n_jobs;
@@ -1073,6 +982,20 @@ impl<'a> RoundEngine<'a> {
                     *avail = src + delta;
                 }
             } else {
+                // Record the carry-in before the live compute overwrites
+                // the availability.
+                let entry = memo.claim(fp);
+                entry.src_frame = frame;
+                entry.src_base = base;
+                entry
+                    .avail_in
+                    .extend(proc_avail.iter().map(|&avail| avail - base));
+                if frame > 0 {
+                    let prev = (frame as usize - 1) * n_jobs;
+                    entry.wrap_in.extend(wrap_preds.iter().map(|p| {
+                        completion[prev + p.index()].expect("previous frame completed") - base
+                    }));
+                }
                 let start = records.len();
                 self.compute_frame(frame, completion, proc_avail, cursors, records)?;
                 // Sort the freshly computed block into the canonical
@@ -1081,20 +1004,18 @@ impl<'a> RoundEngine<'a> {
                 // preserve the order, so the whole memoized run streams
                 // out already canonical and `canonicalize`'s sorted fast
                 // path collapses the final sort to a linear scan.
-                let topo_pos = self.topo_positions();
+                let topo_pos = &self.tables.topo_pos;
                 records[start..].sort_unstable_by(|a, b| {
                     (a.completion, topo_pos[a.job.index()])
                         .cmp(&(b.completion, topo_pos[b.job.index()]))
                 });
                 let out = frame as usize * n_jobs;
-                memo.insert(
-                    fp,
-                    base,
-                    &records[start..],
-                    proc_avail,
-                    &self.tables.wrap_pred_data,
-                    &completion[out..out + n_jobs],
-                );
+                entry.records.extend_from_slice(&records[start..]);
+                entry.avail_out.extend_from_slice(proc_avail);
+                entry.wrap_out.extend(wrap_preds.iter().map(|p| {
+                    let done = completion[out + p.index()].expect("memoized frames are complete");
+                    (p.index() as u32, done)
+                }));
             }
         }
         Ok(())
@@ -1144,53 +1065,16 @@ impl<'a> RoundEngine<'a> {
         Ok(())
     }
 
-    /// Checks that the per-processor orders are consistent with the
-    /// precedence constraints — i.e. that the full round table completes —
-    /// *without* computing any times. The parallel backend runs this before
-    /// spawning workers: its blocking rendezvous would otherwise deadlock
-    /// (rather than error) on a structurally invalid schedule. The count of
-    /// completable rounds is a unique dataflow fixed point, so the error
-    /// matches the sequential backend's exactly.
-    pub(crate) fn check_order(&self) -> Result<(), SimError> {
-        let mut done = vec![false; self.total_rounds()];
-        let mut cursors = Vec::new();
-        let n_jobs = self.n_jobs;
-        self.drive_cursors(&mut cursors, |frame, id, _m| {
-            for p in self.graph.predecessors(id) {
-                if !done[frame as usize * n_jobs + p.index()] {
-                    return false;
-                }
-            }
-            if frame > 0 {
-                for p in self.wrap_preds_of(id) {
-                    if !done[(frame as usize - 1) * n_jobs + p.index()] {
-                        return false;
-                    }
-                }
-            }
-            done[frame as usize * n_jobs + id.index()] = true;
-            true
-        })
-    }
-
-    /// The topological position of every job — the third component of the
-    /// canonical record key `(completion, frame, topo)`. Borrowed from the
-    /// compile-phase tables, so repeated runs share one copy.
-    pub(crate) fn topo_positions(&self) -> &'a [usize] {
-        &self.tables.topo_pos
-    }
-
     /// Sorts `records` into the canonical total order `(completion, frame,
     /// topological position)` and assigns each executed round its global
-    /// invocation count — a pure function of that order, so every backend
-    /// (and the streaming sequencer, which never materializes an unsorted
-    /// vector at all) computes identical identities.
-    pub(crate) fn canonicalize(&self, net: &Fppn, records: &mut [JobRecord]) {
-        let topo_pos = self.topo_positions();
+    /// invocation count — a pure function of that order, so the memo loop
+    /// and the reference loop compute identical identities.
+    fn canonicalize(&self, net: &Fppn, records: &mut [JobRecord]) {
+        let topo_pos = &self.tables.topo_pos;
         let key = |r: &JobRecord| (r.completion, r.frame, topo_pos[r.job.index()] as u32);
-        // Sorted fast path: the memoized sequential loop emits each frame
-        // block pre-sorted, so on schedulable workloads (no frame overruns
-        // its hyperperiod) the concatenation is already canonical and one
+        // Sorted fast path: the memo loop emits each frame block
+        // pre-sorted, so on schedulable workloads (no frame overruns its
+        // hyperperiod) the concatenation is already canonical and one
         // linear scan replaces the sort + permutation entirely.
         if !records.windows(2).all(|w| key(&w[0]) <= key(&w[1])) {
             // Decorate-sort-permute with an *unstable* sort: the canonical
@@ -1215,9 +1099,6 @@ impl<'a> RoundEngine<'a> {
             }
         }
 
-        // Global invocation counts are a pure function of the canonical
-        // order; assigning them up front lets the sharded executor know
-        // every job's identity before any behavior runs.
         let mut counts = vec![0u64; net.process_count()];
         for rec in records.iter_mut() {
             if rec.skipped {
@@ -1229,73 +1110,47 @@ impl<'a> RoundEngine<'a> {
         }
     }
 
-    /// Sorts the records canonically, runs the behaviors (sequentially, or
-    /// sharded across `behavior_workers` threads when non-zero), renders
-    /// the Gantt and accumulates the statistics.
+    /// Sorts the records canonically, runs the behaviors in that order,
+    /// renders the Gantt and accumulates the statistics.
     ///
     /// The canonical order `(completion, frame, topological position)` is a
     /// *total* order on rounds (the topological position is unique per job
     /// within a frame), so the result is independent of the order in which
-    /// a backend produced the records — the keystone of the bit-identity
-    /// contract between the backends. This is the **barrier** finalization:
-    /// every record exists before the first behavior fires. The streaming
-    /// backend (`crate::pipeline`) instead interleaves the same three steps
-    /// per record and calls [`RoundEngine::render`] directly.
+    /// the round loop produced the records — which is what makes replayed
+    /// and recomputed runs bit-identical.
     pub(crate) fn finalize(
         &self,
         net: &Fppn,
         bank: &BehaviorBank,
         stimuli: &Stimuli,
         mut records: Vec<JobRecord>,
-        behavior_workers: usize,
     ) -> Result<SimRun, SimError> {
         self.canonicalize(net, &mut records);
 
-        // Execute behaviors in the precedence-consistent canonical order:
-        // sharded over the worker pool when requested and expressible,
-        // else through the sequential store.
-        let observables = if behavior_workers > 0 && SharedChannels::supports(net) {
-            crate::behavior::run_behaviors_sharded(
-                net,
-                bank,
-                stimuli,
-                &records,
-                behavior_workers,
-                self.cancel,
-            )?
-        } else {
-            let mut behaviors = bank.instantiate();
-            let mut state = ExecState::new(net, stimuli);
-            for (done, rec) in records.iter().enumerate() {
-                // Behaviors are where wall-clock time actually goes, so the
-                // data plane polls per job — the round loop's per-scan check
-                // alone would never interrupt a slow behavior.
-                if self.cancelled() {
-                    return Err(SimError::Cancelled {
-                        completed_rounds: done,
-                    });
-                }
-                if rec.skipped {
-                    continue;
-                }
-                state.run_job(&mut behaviors, rec.process, rec.global_k, rec.invoked_at)?;
+        // Execute behaviors in the precedence-consistent canonical order.
+        let mut behaviors = bank.instantiate();
+        let mut state = ExecState::new(net, stimuli);
+        for (done, rec) in records.iter().enumerate() {
+            // Behaviors are where wall-clock time actually goes, so the
+            // data plane polls per job — the round loop's per-scan check
+            // alone would never interrupt a slow behavior.
+            if self.cancelled() {
+                return Err(SimError::Cancelled {
+                    completed_rounds: done,
+                });
             }
-            state.into_observables()
-        };
-        Ok(self.render(net, records, observables))
+            if rec.skipped {
+                continue;
+            }
+            state.run_job(&mut behaviors, rec.process, rec.global_k, rec.invoked_at)?;
+        }
+        Ok(self.render(net, records, state.into_observables()))
     }
 
     /// Renders the [`SimRun`] from canonically-ordered records (with
     /// `global_k` assigned) and already-computed observables: the Gantt,
-    /// then the aggregate statistics. Shared by the barrier finalization
-    /// above and the streaming pipeline, so presentation can never drift
-    /// between backends.
-    pub(crate) fn render(
-        &self,
-        net: &Fppn,
-        records: Vec<JobRecord>,
-        observables: Observables,
-    ) -> SimRun {
+    /// then the aggregate statistics.
+    fn render(&self, net: &Fppn, records: Vec<JobRecord>, observables: Observables) -> SimRun {
         // Gantt: application rows + a runtime row when overhead is modeled.
         let overhead_row = (!self.overhead.is_none()) as usize;
         let mut gantt = Gantt::new(self.m_procs + overhead_row);
@@ -1370,11 +1225,8 @@ impl<'a> RoundEngine<'a> {
     }
 }
 
-/// Simulates `config.frames` frames of the static-order policy,
-/// dispatching on [`SimConfig`]: the streaming pipeline when
-/// [`SimConfig::pipeline`] resolves true, else the sequential or barrier
-/// parallel backend per [`SimConfig::workers`] (all backends produce
-/// bit-identical results).
+/// Simulates `config.frames` frames of the static-order policy: compiles
+/// the round tables from `derived` and `schedule`, then runs the engine.
 ///
 /// # Errors
 ///
@@ -1389,107 +1241,26 @@ pub fn simulate(
     config: &SimConfig,
 ) -> Result<SimRun, SimError> {
     let tables = StaticTables::build(net, derived, schedule);
-    simulate_with_tables(net, bank, stimuli, derived, &tables, config, None)
+    run(
+        net,
+        bank,
+        stimuli,
+        derived,
+        &tables,
+        config,
+        &mut RoundScratch::new(),
+        None,
+    )
 }
 
-/// The mode dispatcher against already-built compile-phase tables: every
-/// backend borrows the same [`StaticTables`], so switching modes on one
-/// compiled network performs zero recompilation. [`simulate`] is the
-/// compile+run wrapper over this;
-/// [`CompiledNetwork::simulate`](crate::CompiledNetwork::simulate) calls
-/// it with cached tables.
-pub(crate) fn simulate_with_tables(
-    net: &Fppn,
-    bank: &BehaviorBank,
-    stimuli: &Stimuli,
-    derived: &DerivedTaskGraph,
-    tables: &StaticTables,
-    config: &SimConfig,
-    cancel: Option<&CancelToken>,
-) -> Result<SimRun, SimError> {
-    let workers = config.resolved_workers();
-    // The pipeline routes even at one worker, exactly like behavior
-    // sharding below: a 1-worker pipelined run exercises the full
-    // frontier/feed machinery.
-    if config.resolved_pipeline() {
-        return crate::pipeline::simulate_pipelined_tables(
-            net,
-            bank,
-            stimuli,
-            derived,
-            tables,
-            config,
-            workers.max(1),
-            cancel,
-        );
-    }
-    // Behavior sharding routes through the parallel backend even at one
-    // worker: a 1-worker sharded run exercises the full rendezvous
-    // machinery, exactly like the 1-worker round backend.
-    if workers <= 1 && !config.resolved_parallel_behaviors() {
-        run_seq(net, bank, stimuli, derived, tables, config, cancel)
-    } else {
-        crate::parallel::simulate_parallel_tables(
-            net,
-            bank,
-            stimuli,
-            derived,
-            tables,
-            config,
-            workers.max(1),
-            cancel,
-        )
-    }
-}
-
-/// The sequential backend: one thread walks all per-processor cursors.
-///
-/// Retained (and exported) as the differential oracle for the parallel
-/// backend, exactly like `list_schedule_naive` oracles the event-driven
-/// scheduler.
-///
-/// # Errors
-///
-/// Returns [`SimError`] on invalid stimuli, behavior failures, or a
-/// deadlocked (structurally invalid) schedule.
-pub fn simulate_seq(
-    net: &Fppn,
-    bank: &BehaviorBank,
-    stimuli: &Stimuli,
-    derived: &DerivedTaskGraph,
-    schedule: &StaticSchedule,
-    config: &SimConfig,
-) -> Result<SimRun, SimError> {
-    let tables = StaticTables::build(net, derived, schedule);
-    run_seq(net, bank, stimuli, derived, &tables, config, None)
-}
-
-/// The sequential backend against borrowed compile-phase tables.
-pub(crate) fn run_seq(
-    net: &Fppn,
-    bank: &BehaviorBank,
-    stimuli: &Stimuli,
-    derived: &DerivedTaskGraph,
-    tables: &StaticTables,
-    config: &SimConfig,
-    cancel: Option<&CancelToken>,
-) -> Result<SimRun, SimError> {
-    let mut engine = RoundEngine::new(net, stimuli, derived, tables, config)?;
-    if let Some(token) = cancel {
-        engine.set_cancel(token);
-    }
-    let records = engine.compute_rounds_seq()?;
-    // The oracle never shards behaviors, whatever the config says.
-    engine.finalize(net, bank, stimuli, records, 0)
-}
-
-/// [`run_seq`] into caller-owned scratch buffers: the round loop reuses
-/// the scratch's completion/availability/cursor vectors across runs
-/// (records move into the returned [`SimRun`]). The `fppn-serve` worker
-/// pool drives this through
+/// One run against borrowed compile-phase tables, with the round loop in
+/// caller-owned scratch buffers: the completion/availability/cursor
+/// vectors and the frame memo are reused across runs (records move into
+/// the returned [`SimRun`]). The `fppn-serve` worker pool drives this
+/// through
 /// [`CompiledNetwork::simulate_with_scratch`](crate::CompiledNetwork::simulate_with_scratch).
 #[allow(clippy::too_many_arguments)]
-pub(crate) fn run_seq_into(
+pub(crate) fn run(
     net: &Fppn,
     bank: &BehaviorBank,
     stimuli: &Stimuli,
@@ -1503,9 +1274,9 @@ pub(crate) fn run_seq_into(
     if let Some(token) = cancel {
         engine.set_cancel(token);
     }
-    engine.compute_rounds_seq_into(scratch)?;
+    engine.compute_rounds_into(scratch)?;
     let records = std::mem::take(&mut scratch.records);
-    engine.finalize(net, bank, stimuli, records, 0)
+    engine.finalize(net, bank, stimuli, records)
 }
 
 #[cfg(test)]
@@ -1776,33 +1547,57 @@ mod tests {
         assert_eq!(run.records.len(), 8);
     }
 
-    #[test]
-    fn workers_field_resolution() {
-        let explicit = SimConfig {
-            workers: 3,
+    /// Runs the memo loop with every frame forced onto one fingerprint, so
+    /// only the content check tells frames apart, and checks it against
+    /// the real fingerprint and the reference loop: same hits and misses,
+    /// same rounds.
+    fn assert_forced_collision_is_harmless(net: &Fppn, stimuli: &Stimuli, frames: u64) {
+        let derived = derive_task_graph(net, &WcetModel::uniform(ms(10))).unwrap();
+        let schedule = list_schedule(&derived.graph, 2, Heuristic::AlapEdf);
+        let tables = StaticTables::build(net, &derived, &schedule);
+        let stimuli = clip_stimuli(net, &derived, stimuli, frames);
+        let config = SimConfig {
+            frames,
             ..SimConfig::default()
         };
-        assert_eq!(explicit.resolved_workers(), 3);
-        // workers == 0 resolves via the environment; in the test harness the
-        // variable is either unset/empty (→ 1) or a valid positive override
-        // (→ itself; invalid values now panic with the variable's name).
-        let auto = SimConfig::default();
-        let resolved = auto.resolved_workers();
-        match std::env::var("FPPN_SIM_WORKERS").ok().filter(|v| !v.is_empty()) {
-            Some(v) => assert_eq!(resolved, v.parse::<usize>().unwrap()),
-            None => assert_eq!(resolved, 1),
-        }
+        let engine = RoundEngine::new(net, &stimuli, &derived, &tables, &config).unwrap();
+        let mut honest = RoundScratch::new();
+        engine.compute_rounds_into(&mut honest).unwrap();
+        let mut forced = RoundScratch::new();
+        engine
+            .compute_rounds_memo_into(&mut forced, |_, _, _, _| 0)
+            .unwrap();
+        let mut reference = RoundScratch::new();
+        engine.compute_rounds_reference_into(&mut reference).unwrap();
+
+        let (hits, misses) = honest.memo_stats();
+        assert!(hits > 0 && misses > 1, "the workload must mix hits and misses");
+        assert_eq!(forced.memo_stats(), (hits, misses), "a collision replayed");
+        let by_slot = |records: &mut Vec<JobRecord>| {
+            records.sort_by_key(|r| (r.frame, r.job.index()));
+            std::mem::take(records)
+        };
+        let expected = by_slot(&mut reference.records);
+        assert_eq!(by_slot(&mut forced.records), expected);
+        assert_eq!(by_slot(&mut honest.records), expected);
     }
 
     #[test]
-    fn from_env_agrees_with_resolved_accessors() {
-        let cfg = SimConfig::from_env().expect("harness env vars are valid");
-        assert_eq!(cfg.workers.max(1), SimConfig::default().resolved_workers());
-        assert_eq!(
-            cfg.parallel_behaviors,
-            SimConfig::default().resolved_parallel_behaviors()
-        );
-        assert_eq!(cfg.pipeline, SimConfig::default().resolved_pipeline());
-        assert_eq!(cfg.frames, 1, "from_env starts from the defaults");
+    fn forced_collision_with_different_carry_in_does_not_replay() {
+        // Frame 0 starts from idle processors; every later frame inherits
+        // availability from the frame before, so frames 0 and 1 differ in
+        // carry-in only.
+        let (net, _) = chain_app();
+        assert_forced_collision_is_harmless(&net, &Stimuli::new(), 6);
+    }
+
+    #[test]
+    fn forced_collision_with_different_server_slots_does_not_replay() {
+        // Arrivals in frames 0 and 2 only: frames differ in their
+        // server-slot resolutions, not in carry-in.
+        let (net, _, cfg) = sporadic_app(true);
+        let mut stimuli = Stimuli::new();
+        stimuli.arrivals(cfg, SporadicTrace::new(vec![ms(50), ms(2900)]));
+        assert_forced_collision_is_harmless(&net, &stimuli, 6);
     }
 }

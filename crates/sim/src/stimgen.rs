@@ -89,10 +89,9 @@ pub fn random_sporadic_trace(
 /// hyperperiod.
 ///
 /// Every frame then carries the *same* arrival pattern relative to its
-/// own base, which is exactly the shape the frame memo
-/// ([`SimConfig::memo`](crate::SimConfig)) exploits: once the carry-in
-/// state settles, every later frame fingerprints equal to an earlier one
-/// and replays instead of recomputing. Ordinary
+/// own base, which is exactly the shape the engine's frame memo exploits:
+/// once the carry-in state settles, every later frame's input equals an
+/// earlier one's and replays instead of recomputing. Ordinary
 /// [`random_sporadic_trace`] draws over the whole horizon, so no two
 /// frames ever match.
 ///

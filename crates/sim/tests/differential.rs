@@ -1,543 +1,53 @@
-//! Differential test-suite: the parallel and pipelined backends against
-//! the sequential oracle (the same pattern that proves the event-driven
-//! scheduler against `list_schedule_naive`).
+//! Differential test-suite: the compile-once artifact against fresh
+//! compiles, the compile key against single-field mutations, and the
+//! engine's frame memo against the memo-off reference loop (the same
+//! pattern that proves the event-driven scheduler against
+//! `list_schedule_naive`).
 //!
 //! Bit-identity is asserted on every component of a [`SimRun`]: the
 //! per-round [`fppn_sim::JobRecord`]s (exact rational times, processors,
 //! ranks), the Gantt segments, the statistics, and the observables —
-//! across random workloads, sporadic densities, overhead models,
-//! exec-time models and worker counts. Every parallel run is exercised
-//! three ways: with behaviors replayed sequentially, with the **sharded
-//! data plane** behind the barrier (`parallel_behaviors`), and with the
-//! **streaming pipeline** (`pipeline`), which overlaps behavior execution
-//! with round computation — all of which must be bit-identical.
+//! across adversarial stimuli, frame counts, overhead models and
+//! exec-time models.
 
 use fppn_apps::{
     adversarial_presets, fms_network, fms_wcet, random_workload, synthetic_fppn, FmsVariant,
-    SyntheticFppnConfig, SyntheticGraphConfig, WorkloadConfig,
+    WorkloadConfig,
 };
 use fppn_core::Stimuli;
 use fppn_sched::{list_schedule, Heuristic};
-use fppn_sim::hotpath::SeqRounds;
+use fppn_sim::hotpath::{simulate_memo_off, SeqRounds};
 use fppn_sim::{
-    adversarial_stimuli, clip_stimuli, compile_key, random_stimuli, simulate, simulate_parallel,
-    simulate_pipelined, simulate_seq, AdversarialClass, CompileConfig, CompiledNetwork,
-    ExecTimeModel, OverheadModel, RunScratch, SimConfig, SimRun, StaticTables,
+    adversarial_stimuli, clip_stimuli, compile_key, random_stimuli, simulate, AdversarialClass,
+    CancelToken, CompileConfig, CompiledNetwork, ExecTimeModel, OverheadModel, RunScratch,
+    SimConfig, SimRun, StaticTables,
 };
 use fppn_taskgraph::derive_task_graph;
 use fppn_time::TimeQ;
 use proptest::prelude::*;
 
-fn assert_bit_identical(seq: &SimRun, par: &SimRun, label: &str) {
-    assert_eq!(seq.records, par.records, "{label}: records diverged");
+fn assert_bit_identical(expected: &SimRun, actual: &SimRun, label: &str) {
+    assert_eq!(expected.records, actual.records, "{label}: records diverged");
     assert_eq!(
-        seq.observables.diff(&par.observables),
+        expected.observables.diff(&actual.observables),
         None,
         "{label}: observables diverged"
     );
-    assert_eq!(seq.observables, par.observables, "{label}: observables !=");
-    assert_eq!(seq.gantt, par.gantt, "{label}: gantt diverged");
-    assert_eq!(seq.stats, par.stats, "{label}: stats diverged");
+    assert_eq!(expected.observables, actual.observables, "{label}: observables !=");
+    assert_eq!(expected.gantt, actual.gantt, "{label}: gantt diverged");
+    assert_eq!(expected.stats, actual.stats, "{label}: stats diverged");
 }
 
-/// One workload, every axis: processors × heuristics × exec-time models ×
-/// overheads × worker counts, over several frames with random stimuli.
-fn check_workload(cfg: &WorkloadConfig, density: u32, frames: u64, workers: &[usize]) {
-    let w = random_workload(cfg);
-    let derived = derive_task_graph(&w.net, &w.wcet).expect("derivable");
-    let horizon = TimeQ::from_int(frames as i64) * derived.hyperperiod;
-    let stimuli = random_stimuli(&w.net, horizon, density, cfg.seed ^ 0x00C0_FFEE);
-    let stimuli = clip_stimuli(&w.net, &derived, &stimuli, frames);
-    for m in [1usize, 2, 4] {
-        let schedule = list_schedule(&derived.graph, m, Heuristic::AlapEdf);
-        for (exec, overhead) in [
-            (ExecTimeModel::Wcet, OverheadModel::NONE),
-            (
-                ExecTimeModel::typical_jitter(cfg.seed ^ 0xA5),
-                OverheadModel::NONE,
-            ),
-            (ExecTimeModel::Wcet, OverheadModel::constant(TimeQ::from_ms(9))),
-        ] {
-            let config = SimConfig {
-                frames,
-                overhead,
-                exec_time: exec,
-                ..SimConfig::default()
-            };
-            let seq = simulate_seq(&w.net, &w.bank, &stimuli, &derived, &schedule, &config)
-                .expect("sequential oracle");
-            for &workers in workers {
-                for parallel_behaviors in [false, true] {
-                    let par = simulate_parallel(
-                        &w.net,
-                        &w.bank,
-                        &stimuli,
-                        &derived,
-                        &schedule,
-                        &SimConfig {
-                            workers,
-                            parallel_behaviors,
-                            ..config
-                        },
-                    )
-                    .expect("parallel backend");
-                    assert_bit_identical(
-                        &seq,
-                        &par,
-                        &format!(
-                            "seed {} density {density} m {m} workers {workers} \
-                             sharded-behaviors {parallel_behaviors} {exec:?} {overhead:?}",
-                            cfg.seed
-                        ),
-                    );
-                }
-                let pipe = simulate_pipelined(
-                    &w.net,
-                    &w.bank,
-                    &stimuli,
-                    &derived,
-                    &schedule,
-                    &SimConfig {
-                        workers,
-                        pipeline: true,
-                        ..config
-                    },
-                )
-                .expect("pipelined backend");
-                assert_bit_identical(
-                    &seq,
-                    &pipe,
-                    &format!(
-                        "seed {} density {density} m {m} workers {workers} \
-                         pipeline {exec:?} {overhead:?}",
-                        cfg.seed
-                    ),
-                );
-            }
-        }
-    }
-}
-
-#[test]
-fn parallel_matches_seq_on_pinned_workloads() {
-    for seed in 0..4u64 {
-        let cfg = WorkloadConfig {
-            periodic: 5,
-            sporadic: 2,
-            seed,
-            ..WorkloadConfig::default()
-        };
-        check_workload(&cfg, 500, 3, &[2, 4, 8]);
-    }
-}
-
-#[test]
-fn parallel_matches_seq_at_extreme_densities() {
-    // Density 0 (all server slots false) and 1000 (maximal admissible
-    // sporadic rate) stress the skipped-slot and invocation-wait paths.
-    for density in [0u32, 1000] {
-        let cfg = WorkloadConfig {
-            periodic: 4,
-            sporadic: 3,
-            seed: 7 + density as u64,
-            ..WorkloadConfig::default()
-        };
-        check_workload(&cfg, density, 2, &[2, 4]);
-    }
-}
-
-/// The behavior-heavy synthetic FPPN — where the data plane dominates —
-/// across worker counts and shapes, sharded behaviors on. The third shape
-/// turns on the stimulus knobs (sporadic configurators + external input
-/// streams), so the server-slot machinery (windows, false slots, input
-/// consumption) runs under every backend too.
-#[test]
-fn sharded_behaviors_match_seq_on_behavior_heavy_workloads() {
-    for (label, fppn_cfg) in [
-        (
-            "layered",
-            SyntheticFppnConfig {
-                shape: SyntheticGraphConfig {
-                    jobs: 30,
-                    depth: 5,
-                    seed: 11,
-                    ..SyntheticGraphConfig::default()
-                },
-                compute_iters: (20, 200),
-                ..SyntheticFppnConfig::default()
-            },
-        ),
-        (
-            "fan-skewed",
-            SyntheticFppnConfig {
-                shape: SyntheticGraphConfig {
-                    jobs: 24,
-                    depth: 4,
-                    max_fan_in: 4,
-                    fan_skew_permille: 850,
-                    seed: 12,
-                    ..SyntheticGraphConfig::default()
-                },
-                compute_iters: (20, 200),
-                ..SyntheticFppnConfig::default()
-            },
-        ),
-        (
-            "sporadic+inputs",
-            SyntheticFppnConfig {
-                shape: SyntheticGraphConfig {
-                    jobs: 18,
-                    depth: 4,
-                    seed: 13,
-                    ..SyntheticGraphConfig::default()
-                },
-                compute_iters: (20, 200),
-                sporadic: 3,
-                input_permille: 500,
-                ..SyntheticFppnConfig::default()
-            },
-        ),
-    ] {
-        let w = synthetic_fppn(&fppn_cfg);
-        let derived = derive_task_graph(&w.net, &w.wcet).expect("derivable");
-        let frames = 3u64;
-        let horizon = TimeQ::from_int(frames as i64) * derived.hyperperiod;
-        let stimuli = random_stimuli(&w.net, horizon, 700, 0xBEEF ^ fppn_cfg.shape.seed);
-        let stimuli = clip_stimuli(&w.net, &derived, &stimuli, frames);
-        let config = SimConfig {
-            frames,
-            ..SimConfig::default()
-        };
-        for m in [1usize, 2, 4] {
-            let schedule = list_schedule(&derived.graph, m, Heuristic::AlapEdf);
-            let seq = simulate_seq(&w.net, &w.bank, &stimuli, &derived, &schedule, &config)
-                .expect("sequential oracle");
-            for workers in [1usize, 2, 4, 8] {
-                let par = simulate_parallel(
-                    &w.net,
-                    &w.bank,
-                    &stimuli,
-                    &derived,
-                    &schedule,
-                    &SimConfig {
-                        workers,
-                        parallel_behaviors: true,
-                        ..config
-                    },
-                )
-                .expect("sharded backend");
-                assert_bit_identical(&seq, &par, &format!("{label} m {m} workers {workers}"));
-                let pipe = simulate_pipelined(
-                    &w.net,
-                    &w.bank,
-                    &stimuli,
-                    &derived,
-                    &schedule,
-                    &SimConfig {
-                        workers,
-                        pipeline: true,
-                        ..config
-                    },
-                )
-                .expect("pipelined backend");
-                assert_bit_identical(
-                    &seq,
-                    &pipe,
-                    &format!("{label} m {m} workers {workers} pipeline"),
-                );
-            }
-        }
-    }
-}
-
-/// Every adversarial stimulus class (boundary-aligned bursts,
-/// maximal-density floods, arrival-tie storms, late/extreme inputs)
-/// against every backend, *with a runtime-overhead model active* — the
-/// axis the property campaign (`tests/properties.rs`) leaves to this
-/// suite. Window-edge arrivals under overhead-shifted completions are
-/// exactly where a subset-mapping or frontier bug would surface.
-#[test]
-fn backends_agree_on_adversarial_stimuli_with_overheads() {
-    for (label, fppn_cfg) in adversarial_presets() {
-        let w = synthetic_fppn(&fppn_cfg);
-        let derived = derive_task_graph(&w.net, &w.wcet).expect("derivable");
-        let frames = 2u64;
-        let horizon = TimeQ::from_int(frames as i64) * derived.hyperperiod;
-        let schedule = list_schedule(&derived.graph, 2, Heuristic::AlapEdf);
-        for class in AdversarialClass::ALL {
-            let raw = adversarial_stimuli(&w.net, &derived, horizon, class, 0xD1FF);
-            let stimuli = clip_stimuli(&w.net, &derived, &raw, frames);
-            for (exec, overhead) in [
-                (ExecTimeModel::Wcet, OverheadModel::constant(TimeQ::from_ms(9))),
-                (ExecTimeModel::typical_jitter(0xD1FF), OverheadModel::NONE),
-            ] {
-                let config = SimConfig {
-                    frames,
-                    overhead,
-                    exec_time: exec,
-                    ..SimConfig::default()
-                };
-                let tag = format!("{label} {} {exec:?} {overhead:?}", class.name());
-                let seq = simulate_seq(&w.net, &w.bank, &stimuli, &derived, &schedule, &config)
-                    .expect("sequential oracle");
-                for parallel_behaviors in [false, true] {
-                    let par = simulate_parallel(
-                        &w.net,
-                        &w.bank,
-                        &stimuli,
-                        &derived,
-                        &schedule,
-                        &SimConfig {
-                            workers: 4,
-                            parallel_behaviors,
-                            ..config
-                        },
-                    )
-                    .expect("parallel backend");
-                    assert_bit_identical(&seq, &par, &format!("{tag} sharded {parallel_behaviors}"));
-                }
-                let pipe = simulate_pipelined(
-                    &w.net,
-                    &w.bank,
-                    &stimuli,
-                    &derived,
-                    &schedule,
-                    &SimConfig {
-                        workers: 4,
-                        pipeline: true,
-                        ..config
-                    },
-                )
-                .expect("pipelined backend");
-                assert_bit_identical(&seq, &pipe, &format!("{tag} pipeline"));
-            }
-        }
-    }
-}
-
-/// Bounded-capacity cross-process FIFOs cannot shard; both the barrier
-/// backend and the streaming pipeline must fall back to sequential
-/// behavior execution (the pipeline keeps the round/behavior *overlap*,
-/// only the behaviors serialize), not panic or diverge.
-#[test]
-fn sharded_behaviors_fall_back_on_bounded_fifos() {
-    use fppn_core::{ChannelKind, ChannelSpec, EventSpec, FppnBuilder, JobCtx, ProcessSpec, Value};
-    let ms = TimeQ::from_ms;
-    let mut b = FppnBuilder::new();
-    let src = b.process(ProcessSpec::new("src", EventSpec::periodic(ms(100))));
-    let mid = b.process(ProcessSpec::new("mid", EventSpec::periodic(ms(200))));
-    let dst = b.process(ProcessSpec::new("dst", EventSpec::periodic(ms(100))));
-    let ch = b.channel_spec(
-        ChannelSpec::new("bounded", src, mid, ChannelKind::Fifo)
-            .with_capacity(std::num::NonZeroUsize::new(4).unwrap()),
-    );
-    let c2 = b.channel("c2", mid, dst, ChannelKind::Blackboard);
-    b.priority(src, mid);
-    b.priority(mid, dst);
-    b.behavior(src, move || {
-        Box::new(move |ctx: &mut JobCtx<'_>| ctx.write(ch, Value::Int(ctx.k() as i64)))
-    });
-    b.behavior(mid, move || {
-        Box::new(move |ctx: &mut JobCtx<'_>| {
-            let mut acc = 0i64;
-            while let Some(Value::Int(v)) = ctx.read(ch) {
-                acc = acc.wrapping_mul(31).wrapping_add(v);
-            }
-            ctx.write(c2, Value::Int(acc));
-        })
-    });
-    b.behavior(dst, move || {
-        Box::new(move |ctx: &mut JobCtx<'_>| {
-            let _ = ctx.read(c2);
-        })
-    });
-    let (net, bank) = b.build().unwrap();
-    let derived = derive_task_graph(&net, &fppn_taskgraph::WcetModel::uniform(ms(10))).unwrap();
-    let schedule = list_schedule(&derived.graph, 2, Heuristic::AlapEdf);
-    let config = SimConfig {
-        frames: 4,
-        ..SimConfig::default()
-    };
-    let seq = simulate_seq(&net, &bank, &Stimuli::new(), &derived, &schedule, &config).unwrap();
-    let par = simulate_parallel(
-        &net,
-        &bank,
-        &Stimuli::new(),
-        &derived,
-        &schedule,
-        &SimConfig {
-            workers: 4,
-            parallel_behaviors: true,
-            ..config
-        },
-    )
-    .unwrap();
-    assert_bit_identical(&seq, &par, "bounded-fifo fallback (barrier)");
-    for workers in [1usize, 2, 4] {
-        let pipe = simulate_pipelined(
-            &net,
-            &bank,
-            &Stimuli::new(),
-            &derived,
-            &schedule,
-            &SimConfig {
-                workers,
-                pipeline: true,
-                ..config
-            },
-        )
-        .unwrap();
-        assert_bit_identical(
-            &seq,
-            &pipe,
-            &format!("bounded-fifo fallback (pipelined, {workers} workers)"),
-        );
-    }
-}
-
-/// Forces the pipeline's frontier watermark to *stall*: one upstream
-/// writer has an enormous WCET, so its processor's completion frontier
-/// lags every other timeline by orders of magnitude. Records piling up on
-/// the fast processors must stay uncommitted (their completions are above
-/// the watermark) until the slow writer publishes — and the final run must
-/// still be bit-identical to the oracle.
-#[test]
-fn pipeline_stalls_on_late_upstream_writer_without_diverging() {
-    use fppn_core::{ChannelKind, EventSpec, FppnBuilder, JobCtx, PortId, ProcessSpec, Value};
-    let ms = TimeQ::from_ms;
-    let mut b = FppnBuilder::new();
-    // `slow` feeds every consumer; consumers tick 8x faster, so dozens of
-    // their rounds complete (and queue in the sequencer) while slow[1] is
-    // still executing.
-    let slow = b.process(ProcessSpec::new("slow", EventSpec::periodic(ms(800))));
-    let fast: Vec<_> = (0..3)
-        .map(|i| {
-            b.process(
-                ProcessSpec::new(format!("fast{i}"), EventSpec::periodic(ms(100)))
-                    .with_output("o"),
-            )
-        })
-        .collect();
-    let mut chans = Vec::new();
-    for (i, &f) in fast.iter().enumerate() {
-        let ch = b.channel(format!("c{i}"), slow, f, ChannelKind::Blackboard);
-        chans.push(ch);
-        b.priority(slow, f);
-        b.behavior(f, move || {
-            Box::new(move |ctx: &mut JobCtx<'_>| {
-                let v = ctx.read_value(ch);
-                ctx.write_output(PortId::from_index(0), v);
-            })
-        });
-    }
-    b.behavior(slow, move || {
-        let chans = chans.clone();
-        Box::new(move |ctx: &mut JobCtx<'_>| {
-            for (i, &ch) in chans.iter().enumerate() {
-                ctx.write(ch, Value::Int(1000 * ctx.k() as i64 + i as i64));
-            }
-        })
-    });
-    let (net, bank) = b.build().unwrap();
-    // slow's WCET fills most of the hyperperiod: its round completes after
-    // every fast round of the frame has already been *computed*.
-    let mut wcet = fppn_taskgraph::WcetModel::uniform(ms(5));
-    wcet.set(net.process_by_name("slow").unwrap(), ms(700));
-    let derived = derive_task_graph(&net, &wcet).unwrap();
-    // 4 processors: slow owns one timeline outright, the fast processes
-    // race ahead on the others.
-    let schedule = list_schedule(&derived.graph, 4, Heuristic::AlapEdf);
-    let config = SimConfig {
-        frames: 5,
-        ..SimConfig::default()
-    };
-    let seq = simulate_seq(&net, &bank, &Stimuli::new(), &derived, &schedule, &config).unwrap();
-    for workers in [2usize, 4] {
-        let pipe = simulate_pipelined(
-            &net,
-            &bank,
-            &Stimuli::new(),
-            &derived,
-            &schedule,
-            &SimConfig {
-                workers,
-                pipeline: true,
-                ..config
-            },
-        )
-        .unwrap();
-        assert_bit_identical(&seq, &pipe, &format!("late-writer stall, {workers} workers"));
-    }
-}
-
-#[test]
-fn dispatcher_routes_on_config_workers() {
-    // `simulate` with workers pinned in the config must route identically
-    // to the explicit backend entry points. (The env-var resolution path,
-    // workers == 0 + FPPN_SIM_WORKERS, is covered by the dedicated CI job
-    // that re-runs the whole suite with the variable set — mutating the
-    // process environment from a threaded test harness would race.)
-    let cfg = WorkloadConfig {
-        periodic: 5,
-        sporadic: 1,
-        seed: 23,
-        ..WorkloadConfig::default()
-    };
-    let w = random_workload(&cfg);
-    let derived = derive_task_graph(&w.net, &w.wcet).expect("derivable");
-    let frames = 2u64;
-    let horizon = TimeQ::from_int(frames as i64) * derived.hyperperiod;
-    let stimuli = random_stimuli(&w.net, horizon, 600, 99);
-    let stimuli = clip_stimuli(&w.net, &derived, &stimuli, frames);
-    let schedule = list_schedule(&derived.graph, 3, Heuristic::BLevel);
-    let base = SimConfig {
-        frames,
-        ..SimConfig::default()
-    };
-    let seq = simulate(
-        &w.net,
-        &w.bank,
-        &stimuli,
-        &derived,
-        &schedule,
-        &SimConfig { workers: 1, ..base },
-    )
-    .expect("seq via dispatcher");
-    let par = simulate(
-        &w.net,
-        &w.bank,
-        &stimuli,
-        &derived,
-        &schedule,
-        &SimConfig { workers: 4, ..base },
-    )
-    .expect("par via dispatcher");
-    assert_bit_identical(&seq, &par, "dispatcher");
-    let pipe = simulate(
-        &w.net,
-        &w.bank,
-        &stimuli,
-        &derived,
-        &schedule,
-        &SimConfig {
-            workers: 4,
-            pipeline: true,
-            ..base
-        },
-    )
-    .expect("pipeline via dispatcher");
-    assert_bit_identical(&seq, &pipe, "dispatcher (pipeline)");
-}
-
-/// The compile-once artifact against fresh per-call compiles, across all
-/// four backends and every adversarial stimulus class: a cached
+/// The compile-once artifact against fresh per-call compiles, across every
+/// run entry point and every adversarial stimulus class: a cached
 /// [`CompiledNetwork`] reused for many runs (with a reused [`RunScratch`])
-/// must be bit-identical to the classic entry points, which re-derive and
-/// re-schedule on every call. This is the cache-identity half of the serve
-/// control plane's correctness argument; CI re-runs it under
-/// `FPPN_SIM_WORKERS=4` (the test-name filter is `compiled`).
+/// must be bit-identical to [`simulate`], which re-derives and
+/// re-schedules on every call. This is the cache-identity half of the
+/// serve control plane's correctness argument; CI runs it in release
+/// under the test-name filter `compile`.
 #[test]
-fn compiled_artifact_matches_fresh_compile_across_backends() {
+fn compiled_artifact_matches_fresh_compile() {
+    let token = CancelToken::new();
     for (label, fppn_cfg) in adversarial_presets() {
         let w = synthetic_fppn(&fppn_cfg);
         let cfg = CompileConfig::new(w.wcet.clone(), 2);
@@ -560,47 +70,32 @@ fn compiled_artifact_matches_fresh_compile_across_backends() {
         for class in AdversarialClass::ALL {
             let raw = adversarial_stimuli(&w.net, &derived, horizon, class, 0xCAFE);
             let stimuli = clip_stimuli(&w.net, &derived, &raw, frames);
-            let config = SimConfig {
-                frames,
-                exec_time: ExecTimeModel::typical_jitter(0xCAFE),
-                overhead: OverheadModel::constant(TimeQ::from_ms(7)),
-                ..SimConfig::default()
-            };
-            let tag = format!("{label} {}", class.name());
-            // Fresh compile path: the classic entry point.
-            let fresh = simulate_seq(&w.net, &w.bank, &stimuli, &derived, &schedule, &config)
-                .expect("fresh sequential");
-            // Cache-hit path, all four backends against the one artifact.
-            for (backend, run_cfg) in [
-                ("seq", config),
-                ("parallel", SimConfig { workers: 4, ..config }),
-                (
-                    "sharded",
-                    SimConfig {
-                        workers: 4,
-                        parallel_behaviors: true,
-                        ..config
-                    },
-                ),
-                (
-                    "pipelined",
-                    SimConfig {
-                        workers: 4,
-                        pipeline: true,
-                        ..config
-                    },
-                ),
-            ] {
+            // A stochastic model computes every frame live; `Wcet` runs
+            // through the frame memo.
+            for exec_time in [ExecTimeModel::typical_jitter(0xCAFE), ExecTimeModel::Wcet] {
+                let config = SimConfig {
+                    frames,
+                    exec_time,
+                    overhead: OverheadModel::constant(TimeQ::from_ms(7)),
+                };
+                let tag = format!("{label} {} {exec_time:?}", class.name());
+                // Fresh compile path: the classic entry point.
+                let fresh = simulate(&w.net, &w.bank, &stimuli, &derived, &schedule, &config)
+                    .expect("fresh run");
                 let cached = artifact
-                    .simulate(&w.bank, &stimuli, &run_cfg)
+                    .simulate(&w.bank, &stimuli, &config)
                     .expect("cached artifact run");
-                assert_bit_identical(&fresh, &cached, &format!("{tag} cached {backend}"));
+                assert_bit_identical(&fresh, &cached, &format!("{tag} cached"));
+                // The serve worker path: scratch reused across runs & classes.
+                let scratched = artifact
+                    .simulate_with_scratch(&w.bank, &stimuli, &config, &mut scratch)
+                    .expect("scratch run");
+                assert_bit_identical(&fresh, &scratched, &format!("{tag} cached+scratch"));
+                let armed = artifact
+                    .simulate_cancellable(&w.bank, &stimuli, &config, &mut scratch, &token)
+                    .expect("cancellable run");
+                assert_bit_identical(&fresh, &armed, &format!("{tag} cached+cancel token"));
             }
-            // The serve worker path: scratch reused across runs & classes.
-            let scratched = artifact
-                .simulate_with_scratch(&w.bank, &stimuli, &config, &mut scratch)
-                .expect("scratch run");
-            assert_bit_identical(&fresh, &scratched, &format!("{tag} cached seq+scratch"));
         }
     }
 }
@@ -683,69 +178,6 @@ fn compile_key_changes_under_any_single_mutation() {
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(12))]
 
-    /// Seed-pinned differential property: random workload shapes, random
-    /// sporadic densities, random exec-time seeds, workers ∈ {2, 4, 8}.
-    #[test]
-    fn simulate_parallel_equals_simulate_seq(
-        periodic in 2usize..6,
-        sporadic in 0usize..3,
-        density in 0u32..=1000,
-        seed in any::<u64>(),
-        exec_seed in any::<u64>(),
-        m in 1usize..4,
-        frames in 1u64..4,
-    ) {
-        let cfg = WorkloadConfig {
-            periodic,
-            sporadic,
-            seed,
-            ..WorkloadConfig::default()
-        };
-        let w = random_workload(&cfg);
-        let derived = derive_task_graph(&w.net, &w.wcet).unwrap();
-        let horizon = TimeQ::from_int(frames as i64) * derived.hyperperiod;
-        let stimuli = random_stimuli(&w.net, horizon, density, seed ^ 0x5a5a);
-        let stimuli = clip_stimuli(&w.net, &derived, &stimuli, frames);
-        let schedule = list_schedule(&derived.graph, m, Heuristic::AlapEdf);
-        let config = SimConfig {
-            frames,
-            exec_time: ExecTimeModel::typical_jitter(exec_seed),
-            ..SimConfig::default()
-        };
-        let seq = simulate_seq(&w.net, &w.bank, &stimuli, &derived, &schedule, &config)
-            .unwrap();
-        for workers in [2usize, 4, 8] {
-            for parallel_behaviors in [false, true] {
-                let par = simulate_parallel(
-                    &w.net,
-                    &w.bank,
-                    &stimuli,
-                    &derived,
-                    &schedule,
-                    &SimConfig { workers, parallel_behaviors, ..config },
-                )
-                .unwrap();
-                prop_assert_eq!(&seq.records, &par.records);
-                prop_assert_eq!(&seq.observables, &par.observables);
-                prop_assert_eq!(&seq.gantt, &par.gantt);
-                prop_assert_eq!(&seq.stats, &par.stats);
-            }
-            let pipe = simulate_pipelined(
-                &w.net,
-                &w.bank,
-                &stimuli,
-                &derived,
-                &schedule,
-                &SimConfig { workers, pipeline: true, ..config },
-            )
-            .unwrap();
-            prop_assert_eq!(&seq.records, &pipe.records);
-            prop_assert_eq!(&seq.observables, &pipe.observables);
-            prop_assert_eq!(&seq.gantt, &pipe.gantt);
-            prop_assert_eq!(&seq.stats, &pipe.stats);
-        }
-    }
-
     /// Content-hash stability: rebuilding the same random workload from
     /// the same seed always produces the same compile key (so a cache
     /// keyed on it hits across processes and sessions), the compiled
@@ -778,88 +210,53 @@ proptest! {
     }
 }
 
-/// Frame memoization differential sweep: with `memo: true`, every backend
-/// must stay bit-identical to the memo-off sequential oracle — across the
-/// adversarial stimulus classes (sporadic bursts, floods, tie storms,
-/// external inputs), frame counts spanning no-reuse (1) through heavy
-/// reuse (32), and both the memoizing exec model (`Wcet`) and a
-/// stochastic one that must fall back to the live loop. Only the
-/// sequential round path consults the memo; the parallel and pipelined
-/// backends must ignore the flag without diverging.
+
+/// Frame memoization differential sweep: the default run, where the memo
+/// engages wherever it can hit, must stay bit-identical to the memo-off
+/// reference — across the adversarial stimulus classes (sporadic bursts,
+/// floods, tie storms, external inputs), frame counts spanning no-reuse
+/// (1) through heavy reuse (32), with and without a runtime-overhead
+/// model (window-edge arrivals under overhead-shifted completions are
+/// where a subset-mapping bug would surface), and both the memoizing exec
+/// model (`Wcet`) and a stochastic one that must fall back to the live
+/// loop.
 #[test]
-fn memo_on_is_bit_identical_to_memo_off_across_backends() {
+fn memo_is_bit_identical_to_memo_off_reference() {
     for (label, fppn_cfg) in adversarial_presets() {
         let w = synthetic_fppn(&fppn_cfg);
         let derived = derive_task_graph(&w.net, &w.wcet).expect("derivable");
         let schedule = list_schedule(&derived.graph, 2, Heuristic::AlapEdf);
         for frames in [1u64, 8, 32] {
             let horizon = TimeQ::from_int(frames as i64) * derived.hyperperiod;
+            let overhead = OverheadModel::constant(TimeQ::from_ms(9));
             // At 32 frames only the memoizing model is interesting (the
             // stochastic fallback is already pinned at 1 and 8).
-            let execs: &[ExecTimeModel] = if frames == 32 {
-                &[ExecTimeModel::Wcet]
+            let models: &[(ExecTimeModel, OverheadModel)] = if frames == 32 {
+                &[(ExecTimeModel::Wcet, OverheadModel::NONE)]
             } else {
-                &[ExecTimeModel::Wcet, ExecTimeModel::typical_jitter(0x3E30)]
+                &[
+                    (ExecTimeModel::Wcet, OverheadModel::NONE),
+                    (ExecTimeModel::Wcet, overhead),
+                    (ExecTimeModel::typical_jitter(0x3E30), OverheadModel::NONE),
+                ]
             };
             for class in AdversarialClass::ALL {
                 let raw = adversarial_stimuli(&w.net, &derived, horizon, class, 0x3E30);
                 let stimuli = clip_stimuli(&w.net, &derived, &raw, frames);
-                for &exec in execs {
-                    let base = SimConfig {
+                for &(exec_time, overhead) in models {
+                    let config = SimConfig {
                         frames,
-                        exec_time: exec,
-                        ..SimConfig::default()
+                        exec_time,
+                        overhead,
                     };
-                    let tag = format!("{label} {} f{frames} {exec:?}", class.name());
-                    let oracle =
-                        simulate_seq(&w.net, &w.bank, &stimuli, &derived, &schedule, &base)
-                            .expect("memo-off oracle");
-                    let seq = simulate_seq(
-                        &w.net,
-                        &w.bank,
-                        &stimuli,
-                        &derived,
-                        &schedule,
-                        &SimConfig { memo: true, ..base },
-                    )
-                    .expect("memo-on sequential");
-                    assert_bit_identical(&oracle, &seq, &format!("{tag} seq"));
-                    for parallel_behaviors in [false, true] {
-                        let par = simulate_parallel(
-                            &w.net,
-                            &w.bank,
-                            &stimuli,
-                            &derived,
-                            &schedule,
-                            &SimConfig {
-                                workers: 4,
-                                parallel_behaviors,
-                                memo: true,
-                                ..base
-                            },
-                        )
-                        .expect("memo-on parallel");
-                        assert_bit_identical(
-                            &oracle,
-                            &par,
-                            &format!("{tag} sharded {parallel_behaviors}"),
-                        );
-                    }
-                    let pipe = simulate_pipelined(
-                        &w.net,
-                        &w.bank,
-                        &stimuli,
-                        &derived,
-                        &schedule,
-                        &SimConfig {
-                            workers: 4,
-                            pipeline: true,
-                            memo: true,
-                            ..base
-                        },
-                    )
-                    .expect("memo-on pipelined");
-                    assert_bit_identical(&oracle, &pipe, &format!("{tag} pipeline"));
+                    let tag =
+                        format!("{label} {} f{frames} {exec_time:?} {overhead:?}", class.name());
+                    let reference =
+                        simulate_memo_off(&w.net, &w.bank, &stimuli, &derived, &schedule, &config)
+                            .expect("memo-off reference");
+                    let run = simulate(&w.net, &w.bank, &stimuli, &derived, &schedule, &config)
+                        .expect("default run");
+                    assert_bit_identical(&reference, &run, &tag);
                 }
             }
         }
@@ -869,8 +266,8 @@ fn memo_on_is_bit_identical_to_memo_off_across_backends() {
 /// On a pure-periodic production workload (FMS) every hyperperiod after
 /// the transient settles carries the same relative state, so the frame
 /// memo must actually engage — frames replay as hits, not recompute as
-/// misses — and the replayed run must equal the memo-off oracle bit for
-/// bit.
+/// misses — and the replayed run must equal the memo-off reference bit
+/// for bit.
 #[test]
 fn memo_replays_settled_periodic_frames_as_hits() {
     let (net, bank, ids) = fms_network(FmsVariant::Original);
@@ -880,7 +277,6 @@ fn memo_replays_settled_periodic_frames_as_hits() {
     let stimuli = Stimuli::new();
     let config = SimConfig {
         frames: 32,
-        memo: true,
         ..SimConfig::default()
     };
     let mut rounds =
@@ -893,32 +289,13 @@ fn memo_replays_settled_periodic_frames_as_hits() {
         "periodic frames must replay as hits once settled (hits={hits}, misses={misses})"
     );
 
-    let frames = 8u64;
-    let off = simulate_seq(
-        &net,
-        &bank,
-        &stimuli,
-        &derived,
-        &schedule,
-        &SimConfig {
-            frames,
-            ..SimConfig::default()
-        },
-    )
-    .expect("memo-off oracle");
-    let on = simulate_seq(
-        &net,
-        &bank,
-        &stimuli,
-        &derived,
-        &schedule,
-        &SimConfig {
-            frames,
-            memo: true,
-            ..SimConfig::default()
-        },
-    )
-    .expect("memo-on run");
+    let config = SimConfig {
+        frames: 8,
+        ..SimConfig::default()
+    };
+    let off = simulate_memo_off(&net, &bank, &stimuli, &derived, &schedule, &config)
+        .expect("memo-off reference");
+    let on = simulate(&net, &bank, &stimuli, &derived, &schedule, &config).expect("default run");
     assert_bit_identical(&off, &on, "fms periodic memo replay");
 }
 
@@ -950,7 +327,6 @@ fn memo_disengages_on_bounded_fifos_and_stochastic_exec() {
     let tables = StaticTables::build(&net, &derived, &schedule);
     let config = SimConfig {
         frames: 8,
-        memo: true,
         ..SimConfig::default()
     };
 
@@ -963,24 +339,14 @@ fn memo_disengages_on_bounded_fifos_and_stochastic_exec() {
         "bounded FIFOs must disable the memo entirely"
     );
 
-    let off = simulate_seq(
-        &net,
-        &bank,
-        &Stimuli::new(),
-        &derived,
-        &schedule,
-        &SimConfig {
-            memo: false,
-            ..config
-        },
-    )
-    .expect("memo-off oracle");
-    let on = simulate_seq(&net, &bank, &Stimuli::new(), &derived, &schedule, &config)
-        .expect("memo-on run");
+    let off = simulate_memo_off(&net, &bank, &Stimuli::new(), &derived, &schedule, &config)
+        .expect("memo-off reference");
+    let on = simulate(&net, &bank, &Stimuli::new(), &derived, &schedule, &config)
+        .expect("default run");
     assert_bit_identical(&off, &on, "bounded-fifo memo fallback");
 
-    // Stochastic exec times: the memo flag stays on but the engine must
-    // never consult the table (replay would freeze one sampled timeline).
+    // Stochastic exec times: the engine must never consult the table
+    // (replay would freeze one sampled timeline).
     let w = random_workload(&WorkloadConfig {
         periodic: 4,
         sporadic: 1,
@@ -992,7 +358,6 @@ fn memo_disengages_on_bounded_fifos_and_stochastic_exec() {
     let tables = StaticTables::build(&w.net, &derived, &schedule);
     let jitter = SimConfig {
         frames: 8,
-        memo: true,
         exec_time: ExecTimeModel::typical_jitter(0x3E32),
         ..SimConfig::default()
     };
@@ -1004,21 +369,32 @@ fn memo_disengages_on_bounded_fifos_and_stochastic_exec() {
         (0, 0),
         "stochastic exec models must disable the memo entirely"
     );
-    let off = simulate_seq(
-        &w.net,
-        &w.bank,
-        &Stimuli::new(),
-        &derived,
-        &schedule,
-        &SimConfig {
-            memo: false,
-            ..jitter
-        },
-    )
-    .expect("memo-off oracle");
-    let on = simulate_seq(&w.net, &w.bank, &Stimuli::new(), &derived, &schedule, &jitter)
-        .expect("memo-on run");
+    let off = simulate_memo_off(&w.net, &w.bank, &Stimuli::new(), &derived, &schedule, &jitter)
+        .expect("memo-off reference");
+    let on = simulate(&w.net, &w.bank, &Stimuli::new(), &derived, &schedule, &jitter)
+        .expect("default run");
     assert_bit_identical(&off, &on, "stochastic memo fallback");
+}
+
+/// A run of one frame can never hit, so the engine does not consult the
+/// memo at all: zero hits, zero misses, and the memo-off result.
+#[test]
+fn memo_disengages_on_a_single_frame() {
+    let (net, bank, ids) = fms_network(FmsVariant::Original);
+    let derived = derive_task_graph(&net, &fms_wcet(&ids)).expect("derivable");
+    let schedule = list_schedule(&derived.graph, 2, Heuristic::AlapEdf);
+    let tables = StaticTables::build(&net, &derived, &schedule);
+    let stimuli = Stimuli::new();
+    let config = SimConfig::default();
+    assert_eq!(config.frames, 1);
+    let mut rounds =
+        SeqRounds::new(&net, &stimuli, &derived, &tables, &config).expect("round engine");
+    rounds.compute().expect("rounds");
+    assert_eq!(rounds.memo_stats(), (0, 0), "one frame must skip the memo");
+    let off = simulate_memo_off(&net, &bank, &stimuli, &derived, &schedule, &config)
+        .expect("memo-off reference");
+    let on = simulate(&net, &bank, &stimuli, &derived, &schedule, &config).expect("default run");
+    assert_bit_identical(&off, &on, "single-frame run");
 }
 
 proptest! {
@@ -1055,7 +431,6 @@ proptest! {
         let tables = StaticTables::build(&w.net, &derived, &schedule);
         let config = SimConfig {
             frames,
-            memo: true,
             exec_time: ExecTimeModel::Wcet,
             ..SimConfig::default()
         };

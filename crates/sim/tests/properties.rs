@@ -1,8 +1,8 @@
 //! The semantic property campaign: predictability, sustainability and
 //! robustness (Prop. 4.1) under adversarial stimuli.
 //!
-//! The differential suite proves the four backends *internally*
-//! consistent; this suite checks the properties a deterministic
+//! The differential suite proves the frame memo *internally* consistent
+//! with the memo-off reference; this suite checks the properties a deterministic
 //! multiprocessor execution model must satisfy *semantically*:
 //!
 //! 1. **Predictability** (Cucu-Grosjean & Goossens, arXiv:0908.3519):
@@ -17,9 +17,10 @@
 //!    flood) must never increase the response time of a job present in
 //!    both runs, nor introduce a deadline miss on such a job.
 //! 3. **Robustness (Prop. 4.1)**: the observable traces are invariant
-//!    across all four backends (seq / parallel / sharded / pipeline)
-//!    under every adversarial stimulus class, and invariant under the
-//!    execution-time variation of the shrink chain.
+//!    under execution-time variation (`Wcet` vs a jitter draw, and along
+//!    the shrink chain) under every adversarial stimulus class, and the
+//!    default run, where the frame memo engages, equals the memo-off
+//!    reference bit for bit.
 //!
 //! All stimuli come from `stimgen::adversarial` — seed-pinned SplitMix64
 //! streams aimed at window boundaries, maximal densities, cross-process
@@ -30,10 +31,10 @@ use std::collections::{BTreeMap, BTreeSet};
 
 use fppn_apps::{adversarial_presets, random_workload, synthetic_fppn, Workload, WorkloadConfig};
 use fppn_sched::{list_schedule, Heuristic};
+use fppn_sim::hotpath::simulate_memo_off;
 use fppn_sim::{
     adversarial_stimuli, clip_stimuli, completion_table, max_density_flood_trace, missed_jobs,
-    response_table, simulate_parallel, simulate_pipelined, simulate_seq, AdversarialClass,
-    ExecTimeModel, SimConfig, SimRun,
+    response_table, simulate, AdversarialClass, ExecTimeModel, SimConfig, SimRun,
 };
 use fppn_taskgraph::{derive_task_graph, DerivedTaskGraph, JobId};
 use fppn_time::TimeQ;
@@ -98,9 +99,9 @@ fn prepare(w: Workload, frames: u64) -> Prepared {
     }
 }
 
-fn run_seq(p: &Prepared, stimuli: &fppn_core::Stimuli, m: usize, exec: ExecTimeModel) -> SimRun {
+fn run_sim(p: &Prepared, stimuli: &fppn_core::Stimuli, m: usize, exec: ExecTimeModel) -> SimRun {
     let schedule = list_schedule(&p.derived.graph, m, Heuristic::AlapEdf);
-    simulate_seq(
+    simulate(
         &p.w.net,
         &p.w.bank,
         stimuli,
@@ -112,7 +113,7 @@ fn run_seq(p: &Prepared, stimuli: &fppn_core::Stimuli, m: usize, exec: ExecTimeM
             ..SimConfig::default()
         },
     )
-    .expect("sequential oracle")
+    .expect("simulation")
 }
 
 /// Property 1: along a pointwise-shrinking exec-time chain, every
@@ -121,7 +122,7 @@ fn run_seq(p: &Prepared, stimuli: &fppn_core::Stimuli, m: usize, exec: ExecTimeM
 fn assert_predictable(p: &Prepared, stimuli: &fppn_core::Stimuli, m: usize, chain: &[ExecTimeModel], label: &str) {
     let mut prev: Option<(ExecTimeModel, Completions, SimRun)> = None;
     for &exec in chain {
-        let run = run_seq(p, stimuli, m, exec);
+        let run = run_sim(p, stimuli, m, exec);
         let table = completion_table(&run.records);
         if let Some((pexec, ptable, prun)) = &prev {
             assert_eq!(
@@ -179,7 +180,7 @@ fn assert_sustainable(p: &Prepared, m: usize, exec: ExecTimeModel, label: &str) 
         0xD05E,
     );
     let dense_stim = clip_stimuli(&p.w.net, &p.derived, &dense_raw, p.frames);
-    let dense = run_seq(p, &dense_stim, m, exec);
+    let dense = run_sim(p, &dense_stim, m, exec);
     let dense_resp = response_table(&dense.records);
     let dense_miss: BTreeSet<_> = missed_jobs(&dense.records).into_iter().collect();
 
@@ -193,7 +194,7 @@ fn assert_sustainable(p: &Prepared, m: usize, exec: ExecTimeModel, label: &str) 
             );
         }
         let sparse_stim = clip_stimuli(&p.w.net, &p.derived, &sparse_raw, p.frames);
-        let sparse = run_seq(p, &sparse_stim, m, exec);
+        let sparse = run_sim(p, &sparse_stim, m, exec);
         let sparse_resp = response_table(&sparse.records);
 
         // The window-close explanation: slots executed under the dense
@@ -251,74 +252,32 @@ fn assert_sustainable(p: &Prepared, m: usize, exec: ExecTimeModel, label: &str) 
     }
 }
 
-/// Property 3: all four backends produce bit-identical runs under an
-/// adversarial stimulus.
-fn assert_backends_agree(p: &Prepared, stimuli: &fppn_core::Stimuli, m: usize, exec: ExecTimeModel, label: &str) {
+/// Property 3: under an adversarial stimulus, the default `Wcet` run
+/// (frame memo engaged) is bit-identical to the memo-off reference, and a
+/// run under the exec-time model `exec` observes the same traces.
+fn assert_robust(p: &Prepared, stimuli: &fppn_core::Stimuli, m: usize, exec: ExecTimeModel, label: &str) {
     let schedule = list_schedule(&p.derived.graph, m, Heuristic::AlapEdf);
     let config = SimConfig {
         frames: p.frames,
-        exec_time: exec,
         ..SimConfig::default()
     };
-    let seq = simulate_seq(&p.w.net, &p.w.bank, stimuli, &p.derived, &schedule, &config)
-        .expect("sequential oracle");
-    for (backend, run) in [
-        (
-            "parallel",
-            simulate_parallel(
-                &p.w.net,
-                &p.w.bank,
-                stimuli,
-                &p.derived,
-                &schedule,
-                &SimConfig {
-                    workers: 4,
-                    ..config
-                },
-            )
-            .expect("parallel backend"),
-        ),
-        (
-            "sharded",
-            simulate_parallel(
-                &p.w.net,
-                &p.w.bank,
-                stimuli,
-                &p.derived,
-                &schedule,
-                &SimConfig {
-                    workers: 4,
-                    parallel_behaviors: true,
-                    ..config
-                },
-            )
-            .expect("sharded backend"),
-        ),
-        (
-            "pipeline",
-            simulate_pipelined(
-                &p.w.net,
-                &p.w.bank,
-                stimuli,
-                &p.derived,
-                &schedule,
-                &SimConfig {
-                    workers: 4,
-                    pipeline: true,
-                    ..config
-                },
-            )
-            .expect("pipelined backend"),
-        ),
-    ] {
-        assert_eq!(seq.records, run.records, "{label} [{backend}]: records diverged");
-        assert_eq!(
-            seq.observables, run.observables,
-            "{label} [{backend}]: observables diverged"
-        );
-        assert_eq!(seq.gantt, run.gantt, "{label} [{backend}]: gantt diverged");
-        assert_eq!(seq.stats, run.stats, "{label} [{backend}]: stats diverged");
-    }
+    let reference = simulate_memo_off(&p.w.net, &p.w.bank, stimuli, &p.derived, &schedule, &config)
+        .expect("memo-off reference");
+    let run = simulate(&p.w.net, &p.w.bank, stimuli, &p.derived, &schedule, &config)
+        .expect("default run");
+    assert_eq!(reference.records, run.records, "{label} [memo]: records diverged");
+    assert_eq!(
+        reference.observables, run.observables,
+        "{label} [memo]: observables diverged"
+    );
+    assert_eq!(reference.gantt, run.gantt, "{label} [memo]: gantt diverged");
+    assert_eq!(reference.stats, run.stats, "{label} [memo]: stats diverged");
+    let varied = run_sim(p, stimuli, m, exec);
+    assert_eq!(
+        reference.observables.diff(&varied.observables),
+        None,
+        "{label} [{exec:?}]: observables changed with execution times"
+    );
 }
 
 fn campaign_workloads() -> Vec<(String, Prepared)> {
@@ -428,7 +387,7 @@ fn sustainability_counterexample_pinned() {
     };
 
     let dense_stim = clip_stimuli(&p.w.net, &p.derived, &dense_raw, p.frames);
-    let dense = run_seq(&p, &dense_stim, 3, ExecTimeModel::Wcet);
+    let dense = run_sim(&p, &dense_stim, 3, ExecTimeModel::Wcet);
     // Dense: the window's three arrivals (at 200) execute well before the
     // close at 300…
     assert_eq!(
@@ -439,7 +398,7 @@ fn sustainability_counterexample_pinned() {
     assert_eq!(gated(&dense), (ms(222), ms(226)));
 
     let sparse_stim = clip_stimuli(&p.w.net, &p.derived, &sparse_raw, p.frames);
-    let sparse = run_seq(&p, &sparse_stim, 3, ExecTimeModel::Wcet);
+    let sparse = run_sim(&p, &sparse_stim, 3, ExecTimeModel::Wcet);
     // Sparse: the same slots are false, resolved only at the window close…
     assert_eq!(
         frame0_window_slots(&sparse, ms(300), true),
@@ -466,13 +425,13 @@ fn sustainability_under_sparser_floods() {
 }
 
 #[test]
-fn robustness_across_backends_on_adversarial_stimuli() {
+fn robustness_on_adversarial_stimuli() {
     for (label, p) in campaign_workloads() {
         for class in AdversarialClass::ALL {
             let raw = adversarial_stimuli(&p.w.net, &p.derived, p.horizon, class, 0x0B57);
             let stimuli = clip_stimuli(&p.w.net, &p.derived, &raw, p.frames);
             for m in [1usize, 3] {
-                assert_backends_agree(
+                assert_robust(
                     &p,
                     &stimuli,
                     m,
@@ -511,7 +470,7 @@ proptest! {
         let chain = shrink_chain(seed ^ 0x5EED);
         let mut prev: Option<(ExecTimeModel, Completions)> = None;
         for &exec in &chain {
-            let run = run_seq(&p, &stimuli, m, exec);
+            let run = run_sim(&p, &stimuli, m, exec);
             let table = completion_table(&run.records);
             if let Some((pexec, ptable)) = &prev {
                 for (key, &c) in &table {
@@ -526,10 +485,10 @@ proptest! {
         }
     }
 
-    /// Robustness over random shapes: the four backends agree under every
-    /// adversarial class (seed-pinned by proptest's own RNG).
+    /// Robustness over random shapes under every adversarial class
+    /// (seed-pinned by proptest's own RNG).
     #[test]
-    fn backends_agree_for_random_shapes(
+    fn robustness_holds_for_random_shapes(
         periodic in 2usize..5,
         sporadic in 0usize..3,
         class_idx in 0usize..4,
@@ -546,7 +505,7 @@ proptest! {
         let class = AdversarialClass::ALL[class_idx];
         let raw = adversarial_stimuli(&p.w.net, &p.derived, p.horizon, class, seed ^ 0xB0B);
         let stimuli = clip_stimuli(&p.w.net, &p.derived, &raw, p.frames);
-        assert_backends_agree(
+        assert_robust(
             &p,
             &stimuli,
             m,

@@ -2,8 +2,8 @@
 //!
 //! Def. 2.1 gives every channel exactly one writer and one reader, so the
 //! channels induce a *process-level* dataflow graph: `w → r` whenever some
-//! channel is written by `w` and read by `r`. The sharded behavior executor
-//! (`fppn-sim`) uses this map three ways:
+//! channel is written by `w` and read by `r`. The map answers three
+//! questions about that graph:
 //!
 //! * the **direct writers** of a process are the rendezvous partners of its
 //!   jobs (a job may read a channel once the writer has committed every job
@@ -127,9 +127,7 @@ impl ChannelDependencyMap {
         }
     }
 
-    /// Cross-process channels `pid` reads, `ChannelId`-ascending — the
-    /// exact order in which the sharded executor supplies per-channel
-    /// visibility counts.
+    /// Cross-process channels `pid` reads, `ChannelId`-ascending.
     pub fn reads(&self, pid: ProcessId) -> &[ChannelId] {
         &self.reads[pid.index()]
     }

@@ -63,7 +63,6 @@ fn assert_all_backends_agree(
                         frames,
                         overhead,
                         exec_time: exec,
-                        ..SimConfig::default()
                     },
                 )
                 .expect("simulate");

@@ -3,10 +3,10 @@
 //! The observable sequences of the paper's two fully-specified
 //! applications (Fig. 1 example network, §V-A FFT) under the zero-delay
 //! reference semantics are pinned to checked-in snapshots
-//! (`tests/golden/*.txt`). The determinism suite proves all backends agree
-//! with the zero-delay reference; this suite pins what the reference
-//! *itself* computes, so a refactor cannot silently change semantics while
-//! remaining self-consistent.
+//! (`tests/golden/*.txt`). The determinism suite proves the simulator and
+//! the threaded runtime agree with the zero-delay reference; this suite
+//! pins what the reference *itself* computes, so a refactor cannot
+//! silently change semantics while remaining self-consistent.
 //!
 //! To regenerate after an *intentional* semantics change, run with
 //! `GOLDEN_PRINT=1 cargo test -q --test golden_traces -- --nocapture` and
@@ -17,10 +17,8 @@ use std::fmt::Write as _;
 use fppn::apps::{fft_network, fft_wcet, fig1_network, fig1_wcet};
 use fppn::core::{run_zero_delay, Fppn, JobOrdering, Observables, SporadicTrace, Stimuli};
 use fppn::sched::{list_schedule, Heuristic};
-use fppn::sim::{
-    adversarial_stimuli, clip_stimuli, simulate_parallel, simulate_pipelined, simulate_seq,
-    AdversarialClass, SimConfig,
-};
+use fppn::sim::hotpath::simulate_memo_off;
+use fppn::sim::{adversarial_stimuli, clip_stimuli, simulate, AdversarialClass, SimConfig};
 use fppn::taskgraph::derive_task_graph;
 use fppn::time::TimeQ;
 
@@ -77,70 +75,65 @@ fn fig1_zero_delay_trace_is_pinned() {
     check("fig1", &net, &run.observables, include_str!("golden/fig1.txt"));
 }
 
-/// The parallel simulation backend must reproduce the *pinned* traces —
-/// not merely agree with the reference of the same build — so a semantics
-/// drift in the parallel rounds cannot hide behind a matching drift in
-/// the zero-delay executor.
+/// The simulator must reproduce the *pinned* traces — not merely agree
+/// with the reference of the same build — so a semantics drift in the
+/// round engine cannot hide behind a matching drift in the zero-delay
+/// executor. Both the default run (frame memo engaged wherever it can
+/// hit) and the memo-off reference are checked.
 #[test]
-fn parallel_backend_reproduces_golden_traces() {
-    // Fig. 1, same stimulus as the pinned reference, 4 frames.
-    {
-        let (net, bank, ids) = fig1_network();
-        let mut stimuli = Stimuli::new();
-        stimuli.arrivals(
-            ids.coef_b,
-            SporadicTrace::new(vec![TimeQ::from_ms(120), TimeQ::from_ms(390)]),
-        );
-        let derived = derive_task_graph(&net, &fig1_wcet()).expect("derivable");
-        let frames = 4;
-        let stimuli = clip_stimuli(&net, &derived, &stimuli, frames);
+fn simulator_reproduces_golden_traces() {
+    let (fig1, fig1_bank, ids) = fig1_network();
+    let mut fig1_stimuli = Stimuli::new();
+    fig1_stimuli.arrivals(
+        ids.coef_b,
+        SporadicTrace::new(vec![TimeQ::from_ms(120), TimeQ::from_ms(390)]),
+    );
+    let (fft, fft_bank, _) = fft_network();
+    for (label, net, bank, wcet, stimuli, frames, expected) in [
+        // Fig. 1, same stimulus as the pinned reference, 4 frames.
+        (
+            "fig1",
+            &fig1,
+            &fig1_bank,
+            fig1_wcet(),
+            fig1_stimuli,
+            4,
+            include_str!("golden/fig1.txt"),
+        ),
+        // FFT pipeline, 3 frames.
+        (
+            "fft",
+            &fft,
+            &fft_bank,
+            fft_wcet(),
+            Stimuli::new(),
+            3,
+            include_str!("golden/fft.txt"),
+        ),
+    ] {
+        let derived = derive_task_graph(net, &wcet).expect("derivable");
+        let stimuli = clip_stimuli(net, &derived, &stimuli, frames);
         let schedule = list_schedule(&derived.graph, 2, Heuristic::AlapEdf);
-        let run = simulate_parallel(
-            &net,
-            &bank,
-            &stimuli,
-            &derived,
-            &schedule,
-            &SimConfig {
-                frames,
-                workers: 4,
-                ..SimConfig::default()
-            },
-        )
-        .expect("fig1 parallel simulation");
-        check("fig1", &net, &run.observables, include_str!("golden/fig1.txt"));
-    }
-    // FFT pipeline, 3 frames.
-    {
-        let (net, bank, _) = fft_network();
-        let derived = derive_task_graph(&net, &fft_wcet()).expect("derivable");
-        let schedule = list_schedule(&derived.graph, 2, Heuristic::AlapEdf);
-        let run = simulate_parallel(
-            &net,
-            &bank,
-            &Stimuli::new(),
-            &derived,
-            &schedule,
-            &SimConfig {
-                frames: 3,
-                workers: 4,
-                ..SimConfig::default()
-            },
-        )
-        .expect("fft parallel simulation");
-        check("fft", &net, &run.observables, include_str!("golden/fft.txt"));
+        let config = SimConfig {
+            frames,
+            ..SimConfig::default()
+        };
+        let run = simulate(net, bank, &stimuli, &derived, &schedule, &config).expect("simulation");
+        check(label, net, &run.observables, expected);
+        let reference = simulate_memo_off(net, bank, &stimuli, &derived, &schedule, &config)
+            .expect("memo-off reference");
+        check(label, net, &reference.observables, expected);
     }
 }
 
 /// Adversarial-stimulus golden traces on the paper's Fig. 1 network: the
 /// observable sequences under a boundary-aligned burst, a maximal-density
 /// flood and an arrival-tie storm (seed-pinned) are snapshot-pinned, and
-/// every backend — sequential oracle, parallel, sharded data plane,
-/// streaming pipeline — must reproduce them exactly. This extends the
-/// uniform-stimulus snapshots above to the stimuli that actually sit on
-/// the server-window edge cases.
+/// both the default run and the memo-off reference must reproduce them
+/// exactly. This extends the uniform-stimulus snapshots above to the
+/// stimuli that actually sit on the server-window edge cases.
 #[test]
-fn adversarial_traces_are_pinned_across_backends() {
+fn adversarial_traces_are_pinned() {
     for (class, expected) in [
         (
             AdversarialClass::BoundaryBurst,
@@ -167,39 +160,12 @@ fn adversarial_traces_are_pinned_across_backends() {
             ..SimConfig::default()
         };
         let label = format!("fig1_{}", class.name());
-        let seq = simulate_seq(&net, &bank, &stimuli, &derived, &schedule, &config)
-            .expect("sequential oracle");
-        check(&label, &net, &seq.observables, expected);
-        for parallel_behaviors in [false, true] {
-            let par = simulate_parallel(
-                &net,
-                &bank,
-                &stimuli,
-                &derived,
-                &schedule,
-                &SimConfig {
-                    workers: 4,
-                    parallel_behaviors,
-                    ..config
-                },
-            )
-            .expect("parallel backend");
-            check(&label, &net, &par.observables, expected);
-        }
-        let pipe = simulate_pipelined(
-            &net,
-            &bank,
-            &stimuli,
-            &derived,
-            &schedule,
-            &SimConfig {
-                workers: 4,
-                pipeline: true,
-                ..config
-            },
-        )
-        .expect("pipelined backend");
-        check(&label, &net, &pipe.observables, expected);
+        let run = simulate(&net, &bank, &stimuli, &derived, &schedule, &config)
+            .expect("simulation");
+        check(&label, &net, &run.observables, expected);
+        let reference = simulate_memo_off(&net, &bank, &stimuli, &derived, &schedule, &config)
+            .expect("memo-off reference");
+        check(&label, &net, &reference.observables, expected);
     }
 }
 
