@@ -14,13 +14,10 @@
 //!   exceeds `MS` milliseconds (default 0 = unlimited). An accidental
 //!   O(n²) regression blows straight through any sane budget.
 //!
-//! With `FPPN_ALLOC_STATS=1` and the `alloc-stats` feature, the bin also
-//! reports heap-allocation counts for the steady-state round loop (the
-//! zero-alloc claim of the SoA round engine), via a counting global
-//! allocator — kept off by default so normal runs measure the real one.
-//!
 //! Run and serve speed are measured end to end by the repository
-//! benchmark (`benchmark/`, workloads `run-fms` and `serve-mix`).
+//! benchmark (`benchmark/`, workloads `run-fms` and `serve-mix`); the
+//! zero-alloc steady state of the round loop is gated by the `alloc_zero`
+//! test.
 
 use std::time::Instant;
 
@@ -30,53 +27,6 @@ use fppn_apps::{
 };
 use fppn_sched::{list_schedule, list_schedule_naive, Heuristic};
 use fppn_taskgraph::derive_task_graph;
-
-/// Schedule frames of the FMS run whose round loop `FPPN_ALLOC_STATS=1`
-/// measures.
-const ALLOC_STATS_FRAMES: u64 = 8;
-
-#[cfg(feature = "alloc-stats")]
-#[global_allocator]
-static ALLOC: fppn_bench::alloc_stats::CountingAlloc = fppn_bench::alloc_stats::CountingAlloc;
-
-/// `FPPN_ALLOC_STATS=1`: count heap traffic of the steady-state round loop
-/// on the FMS workload. After one warm-up compute the SoA `RoundEngine`
-/// reuses its scratch buffers, so the per-iteration delta should be zero —
-/// the same invariant the `alloc_zero` regression test pins.
-#[cfg(feature = "alloc-stats")]
-fn alloc_stats_report(frames: u64) {
-    use fppn_bench::alloc_stats::{allocations, bytes_allocated};
-    let (net, _, ids) = fms_network(FmsVariant::Original);
-    let derived = derive_task_graph(&net, &fms_wcet(&ids)).expect("derivable");
-    let schedule = list_schedule(&derived.graph, 4, Heuristic::AlapEdf);
-    let tables = fppn_sim::StaticTables::build(&net, &derived, &schedule);
-    let stimuli = fppn_core::Stimuli::new();
-    let cfg = fppn_sim::SimConfig {
-        frames,
-        ..fppn_sim::SimConfig::default()
-    };
-    let mut rounds = fppn_sim::hotpath::SeqRounds::new(&net, &stimuli, &derived, &tables, &cfg)
-        .expect("round tables");
-    let n = rounds.compute().expect("warm-up compute");
-    let (a0, b0) = (allocations(), bytes_allocated());
-    let iters = 10;
-    for _ in 0..iters {
-        rounds.compute().expect("steady-state compute");
-    }
-    let (da, db) = (allocations() - a0, bytes_allocated() - b0);
-    println!(
-        "\nalloc stats (FMS frames={frames}, {n} rounds/iter, {iters} steady-state iters): \
-         {da} allocations, {db} bytes — expected 0/0"
-    );
-}
-
-#[cfg(not(feature = "alloc-stats"))]
-fn alloc_stats_report(_frames: u64) {
-    println!(
-        "\nFPPN_ALLOC_STATS=1 set, but the counting allocator is compiled out; \
-         rebuild with `--features alloc-stats` to measure heap traffic"
-    );
-}
 
 fn measure(label: &str, net: &fppn_core::Fppn, wcet: &fppn_taskgraph::WcetModel) {
     let t0 = Instant::now();
@@ -200,10 +150,6 @@ fn main() {
     }
 
     synthetic_sweep(synthetic_jobs);
-
-    if std::env::var("FPPN_ALLOC_STATS").is_ok_and(|v| v == "1") {
-        alloc_stats_report(ALLOC_STATS_FRAMES);
-    }
 
     let elapsed = wall.elapsed();
     println!("\ntotal wall time: {elapsed:.2?}");

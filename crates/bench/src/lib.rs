@@ -2,9 +2,9 @@
 //!
 //! Each binary under `src/bin/` prints the rows/series of one figure or
 //! reported number of the DATE'15 paper (run them with
-//! `cargo run -p fppn-bench --bin <name>`); the Criterion benches under
-//! `benches/` measure the tool-chain itself (derivation, scheduling,
-//! simulation, analysis) plus ablations over the `SP` heuristics.
+//! `cargo run -p fppn-bench --bin <name>`). Compile, run and serve speed
+//! are measured end to end and layer by layer by the repository benchmark
+//! (`benchmark/`); the zero-alloc gates live in `tests/`.
 //!
 //! | target | reproduces |
 //! |---|---|
@@ -17,12 +17,7 @@
 //! | `scalability` | the §V-B hyperperiod-reduction motivation |
 //! | `paper_report` | every row above, in paper-vs-measured form |
 
-// `unsafe_code` is denied (not forbidden) via Cargo.toml so the one
-// `GlobalAlloc` impl in `alloc_stats` can carve out a scoped `#[allow]`.
 #![warn(missing_docs)]
-
-#[cfg(feature = "alloc-stats")]
-pub mod alloc_stats;
 
 use fppn_core::Fppn;
 use fppn_sched::StaticSchedule;

@@ -13,17 +13,18 @@
 
 use std::error::Error;
 use std::fmt;
+use std::sync::atomic::{AtomicUsize, Ordering};
+use std::sync::{Condvar, Mutex, PoisonError};
+use std::thread;
 use std::time::{Duration, Instant};
 
-use crossbeam::thread;
 use fppn_core::{
     BehaviorBank, ExecError, Fppn, JobCtx, NetworkError, Observables, Stimuli,
 };
 use fppn_sched::StaticSchedule;
 use fppn_taskgraph::{wrap_predecessors, DerivedTaskGraph, RoundResolution};
-use parking_lot::{Condvar, Mutex};
 
-use crate::store::{ConcurrentStore, StoreAccess};
+use crate::store::{lock, ConcurrentStore, StoreAccess};
 
 /// Threaded-runtime parameters.
 #[derive(Debug, Clone, Copy)]
@@ -65,7 +66,8 @@ pub enum RuntimeError {
     Network(NetworkError),
     /// A behavior failed on some worker.
     Exec(ExecError),
-    /// A worker thread panicked.
+    /// A worker thread panicked. The run is aborted: workers blocked on
+    /// a precedence wake up and stop, and no partial result is returned.
     WorkerPanicked,
 }
 
@@ -87,30 +89,60 @@ impl From<NetworkError> for RuntimeError {
     }
 }
 
-/// Completion flags for every round, shared across workers.
+/// Completion flags for every round, shared across workers, plus the
+/// abort flag a panicking worker raises so that no waiter blocks forever
+/// on a round that will never complete.
 struct DoneTable {
-    flags: Mutex<Vec<bool>>,
+    state: Mutex<DoneState>,
     cv: Condvar,
+}
+
+struct DoneState {
+    flags: Vec<bool>,
+    aborted: bool,
 }
 
 impl DoneTable {
     fn new(len: usize) -> Self {
         DoneTable {
-            flags: Mutex::new(vec![false; len]),
+            state: Mutex::new(DoneState {
+                flags: vec![false; len],
+                aborted: false,
+            }),
             cv: Condvar::new(),
         }
     }
 
     fn mark(&self, idx: usize) {
-        let mut flags = self.flags.lock();
-        flags[idx] = true;
+        lock(&self.state).flags[idx] = true;
         self.cv.notify_all();
     }
 
-    fn wait_all(&self, idxs: &[usize]) {
-        let mut flags = self.flags.lock();
-        while !idxs.iter().all(|&i| flags[i]) {
-            self.cv.wait(&mut flags);
+    fn abort(&self) {
+        lock(&self.state).aborted = true;
+        self.cv.notify_all();
+    }
+
+    /// Blocks until every round in `idxs` is done. Returns `false` if the
+    /// run was aborted first.
+    fn wait_all(&self, idxs: &[usize]) -> bool {
+        let state = self
+            .cv
+            .wait_while(lock(&self.state), |s| {
+                !s.aborted && !idxs.iter().all(|&i| s.flags[i])
+            })
+            .unwrap_or_else(PoisonError::into_inner);
+        !state.aborted
+    }
+}
+
+/// Aborts the run when its worker unwinds, waking every blocked waiter.
+struct AbortOnPanic<'a>(&'a DoneTable);
+
+impl Drop for AbortOnPanic<'_> {
+    fn drop(&mut self) {
+        if thread::panicking() {
+            self.0.abort();
         }
     }
 }
@@ -145,8 +177,8 @@ pub fn run_threaded(
     let behaviors: Vec<Mutex<fppn_core::BoxedBehavior>> =
         bank.instantiate().into_iter().map(Mutex::new).collect();
     let first_error: Mutex<Option<ExecError>> = Mutex::new(None);
-    let executed = Mutex::new(0usize);
-    let skipped = Mutex::new(0usize);
+    let executed = AtomicUsize::new(0);
+    let skipped = AtomicUsize::new(0);
     let epoch = Instant::now();
 
     let round_idx = |frame: u64, job: fppn_taskgraph::JobId| -> usize {
@@ -154,6 +186,7 @@ pub fn run_threaded(
     };
 
     let worker = |m: usize| {
+        let _abort = AbortOnPanic(&done);
         for frame in 0..frames {
             for &job_id in &proc_orders[m] {
                 let res = resolution.get(frame, job_id);
@@ -166,9 +199,11 @@ pub fn run_threaded(
                 if frame > 0 {
                     deps.extend(wraps[job_id.index()].iter().map(|&p| round_idx(frame - 1, p)));
                 }
-                done.wait_all(&deps);
+                if !done.wait_all(&deps) {
+                    return;
+                }
 
-                let failed = first_error.lock().is_some();
+                let failed = lock(&first_error).is_some();
                 if res.executable && !failed {
                     // Synchronize Invocation: pace by the scaled clock.
                     if config.us_per_ms > 0 {
@@ -177,7 +212,7 @@ pub fn run_threaded(
                         let target = Duration::from_micros(target_us.to_f64().max(0.0) as u64);
                         let now = epoch.elapsed();
                         if target > now {
-                            std::thread::sleep(target - now);
+                            thread::sleep(target - now);
                         }
                     }
                     // Execute.
@@ -185,36 +220,38 @@ pub fn run_threaded(
                     let k = store.next_k(pid);
                     let mut access = StoreAccess::new(&store);
                     let mut ctx = JobCtx::new(&mut access, pid, k, res.invoked_at);
-                    let result = behaviors[pid.index()].lock().on_job(&mut ctx);
+                    let result = lock(&behaviors[pid.index()]).on_job(&mut ctx);
                     match result {
-                        Ok(()) => *executed.lock() += 1,
+                        Ok(()) => {
+                            executed.fetch_add(1, Ordering::Relaxed);
+                        }
                         Err(e) => {
-                            let mut slot = first_error.lock();
+                            let mut slot = lock(&first_error);
                             if slot.is_none() {
                                 *slot = Some(e);
                             }
                         }
                     }
                 } else if !res.executable {
-                    *skipped.lock() += 1;
+                    skipped.fetch_add(1, Ordering::Relaxed);
                 }
                 done.mark(round_idx(frame, job_id));
             }
         }
     };
 
+    // Join every handle (no short-circuit): a joined panic is collected
+    // here rather than re-raised by the scope.
     let panicked = thread::scope(|s| {
-        let handles: Vec<_> = (0..m_procs)
-            .map(|m| s.spawn(move |_| worker(m)))
-            .collect();
-        handles.into_iter().any(|h| h.join().is_err())
-    })
-    .is_err();
+        let handles: Vec<_> = (0..m_procs).map(|m| s.spawn(move || worker(m))).collect();
+        let joined: Vec<bool> = handles.into_iter().map(|h| h.join().is_err()).collect();
+        joined.contains(&true)
+    });
 
     if panicked {
         return Err(RuntimeError::WorkerPanicked);
     }
-    if let Some(e) = first_error.into_inner() {
+    if let Some(e) = lock(&first_error).take() {
         return Err(RuntimeError::Exec(e));
     }
     Ok(RuntimeRun {
@@ -231,7 +268,7 @@ mod tests {
         run_zero_delay, ChannelKind, EventSpec, FppnBuilder, JobOrdering, PortId, ProcessSpec,
         SporadicTrace, Value,
     };
-    use fppn_sched::{list_schedule, Heuristic};
+    use fppn_sched::{list_schedule, Heuristic, Placement};
     use fppn_taskgraph::{derive_task_graph, WcetModel};
     use fppn_time::TimeQ;
 
@@ -400,5 +437,83 @@ mod tests {
             &RuntimeConfig::default(),
         );
         assert!(matches!(err, Err(RuntimeError::Exec(_))));
+    }
+
+    /// Runs `run_threaded` on a helper thread and waits at most 30 s, so a
+    /// run that hangs fails the test instead of stalling the suite.
+    fn run_with_watchdog(
+        net: Fppn,
+        bank: BehaviorBank,
+        derived: DerivedTaskGraph,
+        schedule: StaticSchedule,
+    ) -> Result<RuntimeRun, RuntimeError> {
+        let (tx, rx) = std::sync::mpsc::channel();
+        std::thread::spawn(move || {
+            let run = run_threaded(
+                &net,
+                &bank,
+                &Stimuli::new(),
+                &derived,
+                &schedule,
+                &RuntimeConfig::default(),
+            );
+            let _ = tx.send(run);
+        });
+        rx.recv_timeout(Duration::from_secs(30))
+            .expect("run_threaded did not return within 30 s")
+    }
+
+    /// `p` panics on its first job; `q` reads what `p` writes, so its job
+    /// waits for `p`'s.
+    fn panicking_app() -> (Fppn, BehaviorBank) {
+        let mut b = FppnBuilder::new();
+        let p = b.process(ProcessSpec::new("p", EventSpec::periodic(ms(100))));
+        let q = b.process(ProcessSpec::new("q", EventSpec::periodic(ms(100))));
+        let c = b.channel("c", p, q, ChannelKind::Blackboard);
+        b.priority(p, q);
+        b.behavior(p, || {
+            Box::new(|_: &mut JobCtx<'_>| panic!("behavior panicked"))
+        });
+        b.behavior(q, move || {
+            Box::new(move |ctx: &mut JobCtx<'_>| {
+                ctx.read(c);
+            })
+        });
+        b.build().unwrap()
+    }
+
+    #[test]
+    fn panicking_worker_is_reported_on_one_processor() {
+        let (net, bank) = panicking_app();
+        let derived = derive_task_graph(&net, &WcetModel::uniform(ms(10))).unwrap();
+        let schedule = list_schedule(&derived.graph, 1, Heuristic::AlapEdf);
+        let run = run_with_watchdog(net, bank, derived, schedule);
+        assert!(matches!(run, Err(RuntimeError::WorkerPanicked)), "{run:?}");
+    }
+
+    #[test]
+    fn panicking_worker_wakes_a_waiter_on_another_processor() {
+        let (net, bank) = panicking_app();
+        let derived = derive_task_graph(&net, &WcetModel::uniform(ms(10))).unwrap();
+        // `p`'s job alone on processor 0, `q`'s (its successor) alone on
+        // processor 1, so processor 1 blocks waiting for the panicked job.
+        let p = net.process_by_name("p").unwrap();
+        let placements: Vec<Placement> = derived
+            .graph
+            .job_ids()
+            .map(|job| {
+                let on_p = derived.graph.job(job).process == p;
+                Placement {
+                    job,
+                    processor: usize::from(!on_p),
+                    start: if on_p { ms(0) } else { ms(10) },
+                }
+            })
+            .collect();
+        let schedule = StaticSchedule::new(placements, 2, derived.hyperperiod);
+        assert_eq!(schedule.processor_order(0).len(), 1);
+        assert_eq!(schedule.processor_order(1).len(), 1);
+        let run = run_with_watchdog(net, bank, derived, schedule);
+        assert!(matches!(run, Err(RuntimeError::WorkerPanicked)), "{run:?}");
     }
 }

@@ -8,11 +8,18 @@
 //! conflicting jobs overlap.
 
 use std::collections::BTreeMap;
+use std::sync::{Mutex, MutexGuard, PoisonError};
 
 use fppn_core::{
     ChannelId, ChannelState, DataAccess, Fppn, Observables, PortId, ProcessId, Stimuli, Value,
 };
-use parking_lot::Mutex;
+
+/// Locks `m`, recovering the data of a lock poisoned by a panicking
+/// worker: the run reports that panic itself, so the poison carries no
+/// extra information.
+pub(crate) fn lock<T>(m: &Mutex<T>) -> MutexGuard<'_, T> {
+    m.lock().unwrap_or_else(PoisonError::into_inner)
+}
 
 /// Per-port output samples, keyed like `Observables::outputs`.
 type OutputMap = BTreeMap<(ProcessId, PortId), Vec<(u64, Value)>>;
@@ -44,7 +51,7 @@ impl<'n> ConcurrentStore<'n> {
     /// process are serialized by precedence, so this is uncontended and
     /// yields the zero-delay `k` sequence.
     pub fn next_k(&self, pid: ProcessId) -> u64 {
-        let mut c = self.counters[pid.index()].lock();
+        let mut c = lock(&self.counters[pid.index()]);
         *c += 1;
         *c
     }
@@ -55,11 +62,9 @@ impl<'n> ConcurrentStore<'n> {
             channels: self
                 .channel_logs
                 .iter()
-                .map(|l| l.lock().clone())
+                .map(|l| lock(l).clone())
                 .collect(),
-            outputs: self
-                .outputs
-                .lock()
+            outputs: lock(&self.outputs)
                 .iter()
                 .map(|(k, v)| (*k, v.clone()))
                 .collect(),
@@ -89,7 +94,7 @@ impl DataAccess for StoreAccess<'_, '_> {
             spec.name(),
             self.store.net.process(spec.reader()).name()
         );
-        self.store.channels[ch.index()].lock().read()
+        lock(&self.store.channels[ch.index()]).read()
     }
 
     fn write_channel(&mut self, pid: ProcessId, ch: ChannelId, value: Value) {
@@ -101,8 +106,8 @@ impl DataAccess for StoreAccess<'_, '_> {
             spec.name(),
             self.store.net.process(spec.writer()).name()
         );
-        self.store.channels[ch.index()].lock().write(value.clone());
-        self.store.channel_logs[ch.index()].lock().push(value);
+        lock(&self.store.channels[ch.index()]).write(value.clone());
+        lock(&self.store.channel_logs[ch.index()]).push(value);
     }
 
     fn read_external(&mut self, pid: ProcessId, port: PortId, k: u64) -> Option<Value> {
@@ -110,9 +115,7 @@ impl DataAccess for StoreAccess<'_, '_> {
     }
 
     fn write_external(&mut self, pid: ProcessId, port: PortId, k: u64, value: Value) {
-        self.store
-            .outputs
-            .lock()
+        lock(&self.store.outputs)
             .entry((pid, port))
             .or_default()
             .push((k, value));

@@ -32,11 +32,11 @@ use std::collections::HashMap;
 use std::error::Error;
 use std::fmt;
 use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
+use std::sync::mpsc::{channel, Receiver, Sender};
 use std::sync::{Arc, Mutex, PoisonError};
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 
-use crossbeam::channel::{unbounded, Receiver, Sender};
 use fppn_core::{BehaviorBank, Stimuli};
 use fppn_sim::{CancelToken, CompiledNetwork, RunScratch, SimConfig, SimError, SimRun};
 
@@ -428,10 +428,13 @@ impl Server {
                 n => Some(RunCache::new(n)),
             },
         });
-        let (tx, rx) = unbounded::<Job>();
+        // One queue drained by every worker: the receiver is shared behind
+        // a mutex, held by whichever idle worker is blocked in `recv`.
+        let (tx, rx) = channel::<Job>();
+        let rx = Arc::new(Mutex::new(rx));
         let handles = (0..workers)
             .map(|_| {
-                let rx = rx.clone();
+                let rx = Arc::clone(&rx);
                 let shared = Arc::clone(&shared);
                 std::thread::spawn(move || worker_loop(&rx, &shared))
             })
@@ -542,7 +545,7 @@ impl Server {
                 budget,
             });
         }
-        let (reply, rx) = unbounded();
+        let (reply, rx) = channel();
         let submitted = Instant::now();
         let deadline_at = req.deadline.map(|budget| submitted + budget);
         let job = Job {
@@ -632,10 +635,14 @@ impl Drop for WorkerAliveGuard<'_> {
     }
 }
 
-fn worker_loop(rx: &Receiver<Job>, shared: &Shared) {
+fn worker_loop(rx: &Mutex<Receiver<Job>>, shared: &Shared) {
     let _alive = WorkerAliveGuard(shared);
     let mut scratch = RunScratch::new();
-    while let Ok(job) = rx.recv() {
+    loop {
+        // The guard is a temporary: the lock is released before the run.
+        let Ok(job) = rx.lock().unwrap_or_else(PoisonError::into_inner).recv() else {
+            break;
+        };
         shared.queued.fetch_sub(1, Ordering::SeqCst);
         let result = run_job(&job, shared, &mut scratch);
         // Every outcome — success, error, containment — counts as
@@ -781,7 +788,7 @@ mod tests {
     fn wait_on_a_lost_worker_is_a_typed_error() {
         // Construct a ticket whose sender is already gone: the legacy
         // behavior was a panic inside `wait`.
-        let (tx, rx) = unbounded::<Result<RunReport, RunError>>();
+        let (tx, rx) = channel::<Result<RunReport, RunError>>();
         drop(tx);
         let ticket = RunTicket { rx };
         assert!(matches!(ticket.wait(), Err(RunError::WorkerLost)));

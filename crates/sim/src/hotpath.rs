@@ -3,15 +3,13 @@
 //!
 //! The `RoundEngine` and its scratch buffers are crate-private; this module
 //! re-exposes exactly the "build once, recompute rounds into reused
-//! buffers" loop so `fppn-bench` can (a) assert the steady-state round
-//! loop performs zero heap allocations (the `alloc_zero` regression test)
-//! and (b) report allocation counts from the scalability bin under
-//! `FPPN_ALLOC_STATS=1`. It also keeps the **memo-off reference**: the
-//! round loop with the frame memo switched off
-//! ([`SeqRounds::new_reference`], [`simulate_memo_off`]), which the
-//! differential suite checks every replay against. It is
-//! `#[doc(hidden)]`: not a supported API, only a measurement and testing
-//! seam.
+//! buffers" loop so `fppn-bench` can assert the steady-state round loop
+//! performs zero heap allocations (the `alloc_zero` regression test). It
+//! also keeps the **memo-off reference**: the round loop with the frame
+//! memo switched off ([`SeqRounds::new_reference`],
+//! [`simulate_memo_off`]), which the differential suite checks every
+//! replay against. It is `#[doc(hidden)]`: not a supported API, only a
+//! measurement and testing seam.
 
 use fppn_core::{BehaviorBank, Fppn, Stimuli};
 use fppn_sched::StaticSchedule;

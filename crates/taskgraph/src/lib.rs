@@ -39,7 +39,6 @@
 #![warn(missing_docs)]
 
 mod analysis;
-mod channels;
 mod derive;
 mod graph;
 mod job;
@@ -48,7 +47,6 @@ mod slots;
 mod wcet;
 
 pub use analysis::{load, load_with, necessary_condition, AsapAlap, Infeasibility, LoadResult};
-pub use channels::ChannelDependencyMap;
 pub use derive::{
     derive_task_graph, derive_task_graph_unreduced, DeriveError, DerivedTaskGraph, ServerSpec,
 };
