@@ -6,7 +6,7 @@ use fppn_apps::{fft_network, fft_wcet};
 use fppn_bench::{render_report, ReportRow};
 use fppn_core::Stimuli;
 use fppn_sched::{list_schedule, Heuristic};
-use fppn_sim::{simulate, OverheadModel, SimConfig};
+use fppn_sim::{gantt_ascii, simulate, OverheadModel, SimConfig};
 use fppn_taskgraph::{derive_task_graph, load};
 use fppn_time::TimeQ;
 
@@ -69,15 +69,22 @@ fn main() {
             matches,
         });
         if processors == 2 {
-            gantt2 = Some(run.gantt);
+            let horizon = TimeQ::from_int(2) * derived.hyperperiod;
+            gantt2 = Some(gantt_ascii(
+                &run.records,
+                schedule.processors(),
+                overhead,
+                derived.hyperperiod,
+                horizon,
+                76,
+            ));
         }
     }
     print!("{}", render_report("Fig. 6 — FFT on the simulated MPPA", &rows));
 
     if let Some(g) = gantt2 {
-        let horizon = TimeQ::from_int(2) * derived.hyperperiod;
         println!("\nGantt, first two frames (M0, M1 application; last row runtime overhead):");
-        print!("{}", g.render_ascii(horizon, 76));
+        print!("{g}");
         println!(
             "overheads: {} ms (frame 0), {} ms (later frames)",
             overhead.first_frame, overhead.steady_frame

@@ -314,7 +314,7 @@ struct Shared {
     /// the pool — is observable here ([`Server::workers_alive`]).
     workers_alive: AtomicUsize,
     /// The cross-run result cache, when enabled
-    /// ([`ServerConfig::run_cache_entries`] / `FPPN_SERVE_RUN_CACHE`).
+    /// ([`ServerConfig::run_cache_entries`]).
     run_cache: Option<RunCache>,
 }
 
@@ -332,36 +332,8 @@ pub struct ServerConfig {
     /// would only time out.
     pub shed_expired: bool,
     /// Entry budget of the cross-run result cache ([`crate::RunCache`]):
-    /// `Some(0)` disables it, `Some(n)` caches up to `n` results, and
-    /// `None` (the default) consults the `FPPN_SERVE_RUN_CACHE`
-    /// environment variable with the same grammar (unset/empty/`0` =
-    /// disabled). An invalid variable value panics at server construction,
-    /// naming the variable — a misconfigured deployment must fail loudly,
-    /// not silently serve uncached.
-    pub run_cache_entries: Option<usize>,
-}
-
-impl ServerConfig {
-    /// Environment variable consulted when
-    /// [`ServerConfig::run_cache_entries`] is `None`.
-    pub const RUN_CACHE: &'static str = "FPPN_SERVE_RUN_CACHE";
-
-    /// The effective run-cache entry budget (0 = disabled), resolving
-    /// `None` against [`ServerConfig::RUN_CACHE`].
-    fn resolved_run_cache_entries(&self) -> usize {
-        if let Some(n) = self.run_cache_entries {
-            return n;
-        }
-        match std::env::var(Self::RUN_CACHE) {
-            Ok(v) if !v.is_empty() => v.parse::<usize>().unwrap_or_else(|_| {
-                panic!(
-                    "invalid {}={v:?}: expected a non-negative entry count",
-                    Self::RUN_CACHE
-                )
-            }),
-            _ => 0,
-        }
-    }
+    /// `n > 0` caches up to `n` results; `0` (the default) disables it.
+    pub run_cache_entries: usize,
 }
 
 impl Default for ServerConfig {
@@ -370,7 +342,7 @@ impl Default for ServerConfig {
             workers: 1,
             queue_capacity: usize::MAX,
             shed_expired: false,
-            run_cache_entries: None,
+            run_cache_entries: 0,
         }
     }
 }
@@ -423,7 +395,7 @@ impl Server {
             // Counted up front, not by the spawned threads: an immediate
             // `workers_alive()` call must already see the full pool.
             workers_alive: AtomicUsize::new(workers),
-            run_cache: match config.resolved_run_cache_entries() {
+            run_cache: match config.run_cache_entries {
                 0 => None,
                 n => Some(RunCache::new(n)),
             },
@@ -584,7 +556,7 @@ impl Server {
     }
 
     /// The cross-run result cache, when enabled at construction
-    /// ([`ServerConfig::run_cache_entries`] / `FPPN_SERVE_RUN_CACHE`).
+    /// ([`ServerConfig::run_cache_entries`] > 0).
     /// Exposes the typed hit/miss counters and the current entry count.
     pub fn run_cache(&self) -> Option<&RunCache> {
         self.shared.run_cache.as_ref()
@@ -836,7 +808,7 @@ mod tests {
         let bank = Arc::new(bank);
         let server = Server::with_config(&ServerConfig {
             workers: 1,
-            run_cache_entries: Some(8),
+            run_cache_entries: 8,
             ..ServerConfig::default()
         });
         server.register_tenant("t", 4);
@@ -881,11 +853,6 @@ mod tests {
 
     #[test]
     fn run_cache_is_off_by_default() {
-        // The default consults FPPN_SERVE_RUN_CACHE; under a harness that
-        // sets it (the CI cache job) this test is vacuous, not wrong.
-        if std::env::var(ServerConfig::RUN_CACHE).is_ok_and(|v| !v.is_empty()) {
-            return;
-        }
         let (server, artifact, bank) = one_process_server();
         assert!(server.run_cache().is_none());
         server.register_tenant("t", 2);

@@ -14,8 +14,11 @@
 //! * backpressure ([`AdmissionError::QueueFull`]), shedding
 //!   ([`RunError::Shed`]) and bounded retry behave as specified.
 //!
-//! Pool sizes come from `FPPN_SERVE_POOL` (comma-separated) when set, so
-//! CI can sweep 1/2/4 in separate jobs; default is all three.
+//! The fault sweep runs on pools of 1, 2 and 4 workers. Every test that
+//! builds a [`Server`] runs once with the cross-run result cache off and
+//! once with 64 entries: a cached result must never mask a fault (a hit
+//! needs the same behavior bank by identity, and only `Ok` runs are
+//! cached).
 
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::{Arc, Once};
@@ -114,14 +117,12 @@ fn sim_cfg() -> SimConfig {
     }
 }
 
-fn pool_sizes() -> Vec<usize> {
-    match std::env::var("FPPN_SERVE_POOL") {
-        Ok(s) => s
-            .split(',')
-            .map(|p| p.trim().parse().expect("FPPN_SERVE_POOL is sizes"))
-            .collect(),
-        Err(_) => vec![1, 2, 4],
-    }
+/// `base` with the run cache off, then on.
+fn run_cache_off_and_on(base: ServerConfig) -> impl Iterator<Item = ServerConfig> {
+    [0, 64].into_iter().map(move |run_cache_entries| ServerConfig {
+        run_cache_entries,
+        ..base.clone()
+    })
 }
 
 /// Suppress the default "thread panicked" stderr noise for *injected*
@@ -178,8 +179,16 @@ fn injected_faults_are_contained_and_clean_runs_stay_bit_identical() {
     let clean_bank = Arc::new(clean_bank);
     let panic_bank = Arc::new(panic_bank);
 
-    for pool in pool_sizes() {
-        let server = Server::new(pool);
+    let configs = [1, 2, 4].into_iter().flat_map(|workers| {
+        run_cache_off_and_on(ServerConfig {
+            workers,
+            ..ServerConfig::default()
+        })
+    });
+    for config in configs {
+        let pool = config.workers;
+        let setup = format!("pool {pool}, run cache {}", config.run_cache_entries);
+        let server = Server::with_config(&config);
         server.register_tenant("chaos", RUNS + 1);
         let artifact = server
             .cache()
@@ -251,7 +260,7 @@ fn injected_faults_are_contained_and_clean_runs_stay_bit_identical() {
         assert!(panics > 0 && slows > 0 && compile_faults > 0, "seed too tame");
 
         for (run, kind, ticket) in tickets {
-            let what = format!("pool {pool} run {run} (seed {:#x})", plan.seed());
+            let what = format!("{setup}, run {run} (seed {:#x})", plan.seed());
             match (kind, ticket.wait()) {
                 (FaultKind::None, Ok(report)) => {
                     assert_identical(&oracle, &report.run, &what);
@@ -272,11 +281,11 @@ fn injected_faults_are_contained_and_clean_runs_stay_bit_identical() {
         }
 
         let stats = server.tenant_stats("chaos").unwrap();
-        assert_eq!(stats.admitted, RUNS - compile_faults, "pool {pool}");
-        assert_eq!(stats.completed, stats.admitted, "pool {pool}: drain incomplete");
-        assert_eq!(stats.panicked, panics, "pool {pool}");
-        assert_eq!(stats.timed_out, slows, "pool {pool}");
-        assert_eq!((stats.shed, stats.retried), (0, 0), "pool {pool}");
+        assert_eq!(stats.admitted, RUNS - compile_faults, "{setup}");
+        assert_eq!(stats.completed, stats.admitted, "{setup}: drain incomplete");
+        assert_eq!(stats.panicked, panics, "{setup}");
+        assert_eq!(stats.timed_out, slows, "{setup}");
+        assert_eq!((stats.shed, stats.retried), (0, 0), "{setup}");
 
         // Recoverability: the pool serves a pristine run after the storm.
         let req = RunRequest::new(
@@ -286,8 +295,11 @@ fn injected_faults_are_contained_and_clean_runs_stay_bit_identical() {
             sim_cfg(),
         );
         let report = server.submit("chaos", req).unwrap().wait().expect("post-chaos run");
-        assert_identical(&oracle, &report.run, &format!("pool {pool} post-chaos"));
+        assert_identical(&oracle, &report.run, &format!("{setup}, post-chaos"));
         assert_eq!(server.workers_alive(), pool);
+        // With the cache on, at least the post-chaos run is served from it.
+        let hits = server.tenant_stats("chaos").unwrap().run_cache_hits;
+        assert_eq!(hits > 0, config.run_cache_entries > 0, "{setup}: {hits} cache hits");
     }
 }
 
@@ -296,35 +308,40 @@ fn injected_faults_are_contained_and_clean_runs_stay_bit_identical() {
 /// measurement is the run itself, not queueing).
 #[test]
 fn deadline_exceeding_run_times_out_within_twice_budget() {
-    let (net, _) = chain(&MidMode::Clean);
-    let (_, slow_bank) = chain(&MidMode::Slow(50));
-    let server = Server::new(1);
-    server.register_tenant("t", 4);
-    let artifact = server.cache().get_or_compile(&net, &compile_cfg()).unwrap();
-    let budget = Duration::from_millis(200);
-    // 8 mid jobs x 50ms = 400ms of stalls against a 200ms budget.
-    let req = RunRequest::new(artifact, Arc::new(slow_bank), Stimuli::new(), sim_cfg())
-        .with_deadline(budget);
-    let started = Instant::now();
-    let outcome = server.submit("t", req).unwrap().wait();
-    let wall = started.elapsed();
-    match outcome {
-        Err(RunError::TimedOut {
-            budget: b,
-            elapsed,
-            completed_rounds,
-        }) => {
-            assert_eq!(b, budget);
-            assert!(elapsed >= budget, "reported elapsed {elapsed:?} below budget");
-            assert!(
-                wall <= 2 * budget,
-                "cancellation took {wall:?}, over 2x the {budget:?} budget"
-            );
-            assert!(completed_rounds > 0, "no progress before cancellation");
+    for config in run_cache_off_and_on(ServerConfig {
+            workers: 1,
+            ..ServerConfig::default()
+        }) {
+        let server = Server::with_config(&config);
+        let (net, _) = chain(&MidMode::Clean);
+        let (_, slow_bank) = chain(&MidMode::Slow(50));
+        server.register_tenant("t", 4);
+        let artifact = server.cache().get_or_compile(&net, &compile_cfg()).unwrap();
+        let budget = Duration::from_millis(200);
+        // 8 mid jobs x 50ms = 400ms of stalls against a 200ms budget.
+        let req = RunRequest::new(artifact, Arc::new(slow_bank), Stimuli::new(), sim_cfg())
+            .with_deadline(budget);
+        let started = Instant::now();
+        let outcome = server.submit("t", req).unwrap().wait();
+        let wall = started.elapsed();
+        match outcome {
+            Err(RunError::TimedOut {
+                budget: b,
+                elapsed,
+                completed_rounds,
+            }) => {
+                assert_eq!(b, budget);
+                assert!(elapsed >= budget, "reported elapsed {elapsed:?} below budget");
+                assert!(
+                    wall <= 2 * budget,
+                    "cancellation took {wall:?}, over 2x the {budget:?} budget"
+                );
+                assert!(completed_rounds > 0, "no progress before cancellation");
+            }
+            other => panic!("expected TimedOut, got {other:?}"),
         }
-        other => panic!("expected TimedOut, got {other:?}"),
+        assert_eq!(server.tenant_stats("t").unwrap().timed_out, 1);
     }
-    assert_eq!(server.tenant_stats("t").unwrap().timed_out, 1);
 }
 
 /// Bounded queue: with the single worker held hostage and the queue at
@@ -332,47 +349,49 @@ fn deadline_exceeding_run_times_out_within_twice_budget() {
 /// and consumes neither budget nor a slot.
 #[test]
 fn full_queue_rejects_with_typed_backpressure() {
-    let gate = Arc::new(AtomicBool::new(false));
-    let (net, _) = chain(&MidMode::Clean);
-    let (_, gated_bank) = chain(&MidMode::Gated(Arc::clone(&gate)));
-    let gated_bank = Arc::new(gated_bank);
-    let server = Server::with_config(&ServerConfig {
-        workers: 1,
-        queue_capacity: 2,
-        ..ServerConfig::default()
-    });
-    server.register_tenant("t", 16);
-    let artifact = server.cache().get_or_compile(&net, &compile_cfg()).unwrap();
-    let req = || {
-        RunRequest::new(
-            Arc::clone(&artifact),
-            Arc::clone(&gated_bank),
-            Stimuli::new(),
-            sim_cfg(),
-        )
-    };
-    // First run is dequeued by the lone worker and blocks on the gate.
-    let hostage = server.submit("t", req()).unwrap();
-    while server.queued() > 0 {
-        std::thread::sleep(Duration::from_millis(1));
-    }
-    // Two more fill the queue; the third bounces.
-    let queued: Vec<_> = (0..2).map(|_| server.submit("t", req()).unwrap()).collect();
-    let admitted_before = server.tenant_stats("t").unwrap().admitted;
-    match server.submit("t", req()) {
-        Err(AdmissionError::QueueFull { capacity }) => assert_eq!(capacity, 2),
-        other => panic!("expected QueueFull, got {:?}", other.map(|_| ())),
-    }
-    assert_eq!(
-        server.tenant_stats("t").unwrap().admitted,
-        admitted_before,
-        "rejected submission consumed budget"
-    );
-    // Release the gate: everything drains clean.
-    gate.store(true, Ordering::Release);
-    assert!(hostage.wait().is_ok());
-    for t in queued {
-        assert!(t.wait().is_ok());
+    for config in run_cache_off_and_on(ServerConfig {
+            workers: 1,
+            queue_capacity: 2,
+            ..ServerConfig::default()
+        }) {
+        let server = Server::with_config(&config);
+        let gate = Arc::new(AtomicBool::new(false));
+        let (net, _) = chain(&MidMode::Clean);
+        let (_, gated_bank) = chain(&MidMode::Gated(Arc::clone(&gate)));
+        let gated_bank = Arc::new(gated_bank);
+        server.register_tenant("t", 16);
+        let artifact = server.cache().get_or_compile(&net, &compile_cfg()).unwrap();
+        let req = || {
+            RunRequest::new(
+                Arc::clone(&artifact),
+                Arc::clone(&gated_bank),
+                Stimuli::new(),
+                sim_cfg(),
+            )
+        };
+        // First run is dequeued by the lone worker and blocks on the gate.
+        let hostage = server.submit("t", req()).unwrap();
+        while server.queued() > 0 {
+            std::thread::sleep(Duration::from_millis(1));
+        }
+        // Two more fill the queue; the third bounces.
+        let queued: Vec<_> = (0..2).map(|_| server.submit("t", req()).unwrap()).collect();
+        let admitted_before = server.tenant_stats("t").unwrap().admitted;
+        match server.submit("t", req()) {
+            Err(AdmissionError::QueueFull { capacity }) => assert_eq!(capacity, 2),
+            other => panic!("expected QueueFull, got {:?}", other.map(|_| ())),
+        }
+        assert_eq!(
+            server.tenant_stats("t").unwrap().admitted,
+            admitted_before,
+            "rejected submission consumed budget"
+        );
+        // Release the gate: everything drains clean.
+        gate.store(true, Ordering::Release);
+        assert!(hostage.wait().is_ok());
+        for t in queued {
+            assert!(t.wait().is_ok());
+        }
     }
 }
 
@@ -380,157 +399,172 @@ fn full_queue_rejects_with_typed_backpressure() {
 /// dropped without burning a worker on it.
 #[test]
 fn expired_queued_runs_are_shed() {
-    let gate = Arc::new(AtomicBool::new(false));
-    let (net, _) = chain(&MidMode::Clean);
-    let (_, gated_bank) = chain(&MidMode::Gated(Arc::clone(&gate)));
-    let server = Server::with_config(&ServerConfig {
-        workers: 1,
-        shed_expired: true,
-        ..ServerConfig::default()
-    });
-    server.register_tenant("t", 4);
-    let artifact = server.cache().get_or_compile(&net, &compile_cfg()).unwrap();
-    let hostage = server
-        .submit(
-            "t",
-            RunRequest::new(
-                Arc::clone(&artifact),
-                Arc::new(gated_bank),
-                Stimuli::new(),
-                sim_cfg(),
-            ),
-        )
-        .unwrap();
-    while server.queued() > 0 {
-        std::thread::sleep(Duration::from_millis(1));
-    }
-    // Queue a run with a 1ms deadline, let it expire behind the hostage.
-    let (_, clean_bank) = chain(&MidMode::Clean);
-    let doomed = server
-        .submit(
-            "t",
-            RunRequest::new(artifact, Arc::new(clean_bank), Stimuli::new(), sim_cfg())
-                .with_deadline(Duration::from_millis(1)),
-        )
-        .unwrap();
-    std::thread::sleep(Duration::from_millis(10));
-    gate.store(true, Ordering::Release);
-    match doomed.wait() {
-        Err(RunError::Shed { waited }) => {
-            assert!(waited >= Duration::from_millis(1), "waited {waited:?}");
+    for config in run_cache_off_and_on(ServerConfig {
+            workers: 1,
+            shed_expired: true,
+            ..ServerConfig::default()
+        }) {
+        let server = Server::with_config(&config);
+        let gate = Arc::new(AtomicBool::new(false));
+        let (net, _) = chain(&MidMode::Clean);
+        let (_, gated_bank) = chain(&MidMode::Gated(Arc::clone(&gate)));
+        server.register_tenant("t", 4);
+        let artifact = server.cache().get_or_compile(&net, &compile_cfg()).unwrap();
+        let hostage = server
+            .submit(
+                "t",
+                RunRequest::new(
+                    Arc::clone(&artifact),
+                    Arc::new(gated_bank),
+                    Stimuli::new(),
+                    sim_cfg(),
+                ),
+            )
+            .unwrap();
+        while server.queued() > 0 {
+            std::thread::sleep(Duration::from_millis(1));
         }
-        other => panic!("expected Shed, got {other:?}"),
+        // Queue a run with a 1ms deadline, let it expire behind the hostage.
+        let (_, clean_bank) = chain(&MidMode::Clean);
+        let doomed = server
+            .submit(
+                "t",
+                RunRequest::new(artifact, Arc::new(clean_bank), Stimuli::new(), sim_cfg())
+                    .with_deadline(Duration::from_millis(1)),
+            )
+            .unwrap();
+        std::thread::sleep(Duration::from_millis(10));
+        gate.store(true, Ordering::Release);
+        match doomed.wait() {
+            Err(RunError::Shed { waited }) => {
+                assert!(waited >= Duration::from_millis(1), "waited {waited:?}");
+            }
+            other => panic!("expected Shed, got {other:?}"),
+        }
+        assert!(hostage.wait().is_ok());
+        assert_eq!(server.tenant_stats("t").unwrap().shed, 1);
     }
-    assert!(hostage.wait().is_ok());
-    assert_eq!(server.tenant_stats("t").unwrap().shed, 1);
 }
 
 /// Transient failures recover under bounded retry; the re-submissions are
 /// visible in the tenant's `retried` counter.
 #[test]
 fn retry_recovers_from_transient_backpressure() {
-    let gate = Arc::new(AtomicBool::new(false));
-    let (net, _) = chain(&MidMode::Clean);
-    let (_, gated_bank) = chain(&MidMode::Gated(Arc::clone(&gate)));
-    let (_, clean_bank) = chain(&MidMode::Clean);
-    let server = Server::with_config(&ServerConfig {
-        workers: 1,
-        queue_capacity: 1,
-        ..ServerConfig::default()
-    });
-    server.register_tenant("t", 16);
-    let artifact = server.cache().get_or_compile(&net, &compile_cfg()).unwrap();
-    // Hostage occupies the worker; one more fills the 1-slot queue.
-    let hostage = server
-        .submit(
-            "t",
-            RunRequest::new(
-                Arc::clone(&artifact),
-                Arc::new(gated_bank),
-                Stimuli::new(),
-                sim_cfg(),
-            ),
-        )
-        .unwrap();
-    while server.queued() > 0 {
-        std::thread::sleep(Duration::from_millis(1));
-    }
-    let filler = server
-        .submit(
-            "t",
-            RunRequest::new(
-                Arc::clone(&artifact),
-                Arc::new(clean_bank),
-                Stimuli::new(),
-                sim_cfg(),
-            ),
-        )
-        .unwrap();
-    // Release the gate shortly; until then, submissions bounce QueueFull.
-    let opener = std::thread::spawn({
-        let gate = Arc::clone(&gate);
-        move || {
-            std::thread::sleep(Duration::from_millis(20));
-            gate.store(true, Ordering::Release);
+    for config in run_cache_off_and_on(ServerConfig {
+            workers: 1,
+            queue_capacity: 1,
+            ..ServerConfig::default()
+        }) {
+        let server = Server::with_config(&config);
+        let gate = Arc::new(AtomicBool::new(false));
+        let (net, _) = chain(&MidMode::Clean);
+        let (_, gated_bank) = chain(&MidMode::Gated(Arc::clone(&gate)));
+        let (_, clean_bank) = chain(&MidMode::Clean);
+        server.register_tenant("t", 16);
+        let artifact = server.cache().get_or_compile(&net, &compile_cfg()).unwrap();
+        // Hostage occupies the worker; one more fills the 1-slot queue.
+        let hostage = server
+            .submit(
+                "t",
+                RunRequest::new(
+                    Arc::clone(&artifact),
+                    Arc::new(gated_bank),
+                    Stimuli::new(),
+                    sim_cfg(),
+                ),
+            )
+            .unwrap();
+        while server.queued() > 0 {
+            std::thread::sleep(Duration::from_millis(1));
         }
-    });
-    let (_, retry_bank) = chain(&MidMode::Clean);
-    let req = RunRequest::new(artifact, Arc::new(retry_bank), Stimuli::new(), sim_cfg());
-    let policy = RetryPolicy {
-        max_retries: 8,
-        base_backoff: Duration::from_millis(10),
-        max_backoff: Duration::from_millis(40),
-    };
-    let report = server
-        .run_with_retry("t", &req, &policy)
-        .expect("retry rides out the transient full queue");
-    assert_eq!(report.deadline_misses, report.run.stats.deadline_misses);
-    assert!(hostage.wait().is_ok());
-    assert!(filler.wait().is_ok());
-    opener.join().unwrap();
-    let stats = server.tenant_stats("t").unwrap();
-    assert!(stats.retried >= 1, "recovery involved no visible retry");
+        let filler = server
+            .submit(
+                "t",
+                RunRequest::new(
+                    Arc::clone(&artifact),
+                    Arc::new(clean_bank),
+                    Stimuli::new(),
+                    sim_cfg(),
+                ),
+            )
+            .unwrap();
+        // Release the gate shortly; until then, submissions bounce QueueFull.
+        let opener = std::thread::spawn({
+            let gate = Arc::clone(&gate);
+            move || {
+                std::thread::sleep(Duration::from_millis(20));
+                gate.store(true, Ordering::Release);
+            }
+        });
+        let (_, retry_bank) = chain(&MidMode::Clean);
+        let req = RunRequest::new(artifact, Arc::new(retry_bank), Stimuli::new(), sim_cfg());
+        let policy = RetryPolicy {
+            max_retries: 8,
+            base_backoff: Duration::from_millis(10),
+            max_backoff: Duration::from_millis(40),
+        };
+        let report = server
+            .run_with_retry("t", &req, &policy)
+            .expect("retry rides out the transient full queue");
+        assert_eq!(report.deadline_misses, report.run.stats.deadline_misses);
+        assert!(hostage.wait().is_ok());
+        assert!(filler.wait().is_ok());
+        opener.join().unwrap();
+        let stats = server.tenant_stats("t").unwrap();
+        assert!(stats.retried >= 1, "recovery involved no visible retry");
+    }
 }
 
 /// Fatal failures are not retried: a panicking behavior and an exhausted
 /// budget both return immediately without drawing more budget.
 #[test]
 fn fatal_failures_are_not_retried() {
-    quiet_injected_panics();
-    let (net, _) = chain(&MidMode::Clean);
-    let (_, panic_bank) = chain(&MidMode::Panic);
-    let (_, clean_bank) = chain(&MidMode::Clean);
-    let server = Server::new(1);
-    server.register_tenant("t", 2);
-    let artifact = server.cache().get_or_compile(&net, &compile_cfg()).unwrap();
-    let policy = RetryPolicy::default();
+    for config in run_cache_off_and_on(ServerConfig {
+            workers: 1,
+            ..ServerConfig::default()
+        }) {
+        let server = Server::with_config(&config);
+        quiet_injected_panics();
+        let (net, _) = chain(&MidMode::Clean);
+        let (_, panic_bank) = chain(&MidMode::Panic);
+        let (_, clean_bank) = chain(&MidMode::Clean);
+        server.register_tenant("t", 2);
+        let artifact = server.cache().get_or_compile(&net, &compile_cfg()).unwrap();
+        let policy = RetryPolicy::default();
 
-    // A deterministic panic is fatal on the first attempt.
-    let req = RunRequest::new(
-        Arc::clone(&artifact),
-        Arc::new(panic_bank),
-        Stimuli::new(),
-        sim_cfg(),
-    );
-    match server.run_with_retry("t", &req, &policy) {
-        Err(RetryError::Fatal(failure)) => {
-            assert!(!failure.is_transient());
-            assert!(failure.to_string().contains("panicked"), "{failure}");
+        // A deterministic panic is fatal on the first attempt.
+        let req = RunRequest::new(
+            Arc::clone(&artifact),
+            Arc::new(panic_bank),
+            Stimuli::new(),
+            sim_cfg(),
+        );
+        match server.run_with_retry("t", &req, &policy) {
+            Err(RetryError::Fatal(failure)) => {
+                assert!(!failure.is_transient());
+                assert!(failure.to_string().contains("panicked"), "{failure}");
+            }
+            other => panic!(
+                "expected Fatal, got {:?}",
+                other.map(|_| ()).map_err(|e| e.to_string())
+            ),
         }
-        other => panic!("expected Fatal, got {:?}", other.map(|_| ()).map_err(|e| e.to_string())),
-    }
 
-    // Budget: 1 of 2 spent above; spend the second, then retry must fail
-    // fatally (BudgetExhausted) after exactly one attempt.
-    let clean = RunRequest::new(artifact, Arc::new(clean_bank), Stimuli::new(), sim_cfg());
-    server.submit("t", clean.clone()).unwrap().wait().unwrap();
-    match server.run_with_retry("t", &clean, &policy) {
-        Err(RetryError::Fatal(failure)) => {
-            assert!(failure.to_string().contains("budget"), "{failure}");
+        // Budget: 1 of 2 spent above; spend the second, then retry must fail
+        // fatally (BudgetExhausted) after exactly one attempt.
+        let clean = RunRequest::new(artifact, Arc::new(clean_bank), Stimuli::new(), sim_cfg());
+        server.submit("t", clean.clone()).unwrap().wait().unwrap();
+        match server.run_with_retry("t", &clean, &policy) {
+            Err(RetryError::Fatal(failure)) => {
+                assert!(failure.to_string().contains("budget"), "{failure}");
+            }
+            other => panic!(
+                "expected Fatal, got {:?}",
+                other.map(|_| ()).map_err(|e| e.to_string())
+            ),
         }
-        other => panic!("expected Fatal, got {:?}", other.map(|_| ()).map_err(|e| e.to_string())),
+        let stats = server.tenant_stats("t").unwrap();
+        assert_eq!(stats.retried, 0, "fatal failures must not be retried");
+        assert_eq!(stats.admitted, 2);
     }
-    let stats = server.tenant_stats("t").unwrap();
-    assert_eq!(stats.retried, 0, "fatal failures must not be retried");
-    assert_eq!(stats.admitted, 2);
 }

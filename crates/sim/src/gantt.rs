@@ -1,193 +1,96 @@
-//! Gantt charts of simulated executions (Fig. 6's presentation).
+//! Gantt charts of simulated executions (Fig. 6's presentation), drawn
+//! straight from a run's [`JobRecord`]s.
 
-use std::fmt;
+use std::fmt::Write as _;
 
 use fppn_time::TimeQ;
 
-/// What a Gantt segment represents.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum SegmentKind {
-    /// An application job executing.
-    Job,
-    /// Runtime frame-management overhead (on the runtime processor).
-    Overhead,
-}
+use crate::overhead::OverheadModel;
+use crate::policy::JobRecord;
 
-/// One busy interval on one processor.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct Segment {
-    /// Processor row (application processors first; the runtime overhead
-    /// row, if any, comes last).
-    pub processor: usize,
-    /// Human-readable label, e.g. `FilterA[2]@1` (`process[k]@frame`).
-    pub label: String,
-    /// Segment start (absolute simulation time).
-    pub start: TimeQ,
-    /// Segment end.
-    pub end: TimeQ,
-    /// Job or overhead.
-    pub kind: SegmentKind,
-}
-
-/// A multi-processor execution timeline.
-#[derive(Debug, Clone, Default, PartialEq, Eq)]
-pub struct Gantt {
-    segments: Vec<Segment>,
+/// Draws an ASCII Gantt chart of `records`: `width` character columns
+/// spanning `[0, horizon]`.
+///
+/// Rows `M0..` are the `processors` application processors, with `#`
+/// where a job executes (skipped server slots draw nothing). When
+/// `overhead` charges anything, one last runtime row draws `%` over each
+/// frame's management overhead, `overhead.frame_overhead(f)` from
+/// `f·hyperperiod`, for every frame the records cover. Every segment marks
+/// at least one cell; a zero `horizon` or `width` draws nothing.
+pub fn gantt_ascii(
+    records: &[JobRecord],
     processors: usize,
-}
+    overhead: OverheadModel,
+    hyperperiod: TimeQ,
+    horizon: TimeQ,
+    width: usize,
+) -> String {
+    let mut out = String::new();
+    if horizon.is_zero() || width == 0 {
+        return out;
+    }
+    let col_of = |t: TimeQ| -> usize {
+        let frac = t / horizon;
+        let c = (frac * TimeQ::from_int(width as i64)).floor();
+        (c.max(0) as usize).min(width)
+    };
+    // Each row has one glyph, so segments paint in any order.
+    let paint = |line: &mut [u8], start: TimeQ, end: TimeQ, glyph: u8| {
+        let (a, b) = (col_of(start), col_of(end));
+        for cell in line.iter_mut().take(b.max(a + 1).min(width)).skip(a) {
+            *cell = glyph;
+        }
+    };
 
-impl Gantt {
-    /// An empty chart over `processors` rows.
-    pub fn new(processors: usize) -> Self {
-        Gantt {
-            segments: Vec::new(),
-            processors,
+    let runtime_row = !overhead.is_none() as usize;
+    let mut rows = vec![vec![b'.'; width]; processors + runtime_row];
+    let (app, runtime) = rows.split_at_mut(processors);
+    let mut frames = 0;
+    for rec in records {
+        frames = frames.max(rec.frame + 1);
+        if !rec.skipped {
+            paint(&mut app[rec.processor], rec.start, rec.completion, b'#');
+        }
+    }
+    if let Some(line) = runtime.first_mut() {
+        for f in 0..frames {
+            let base = TimeQ::from_int(f as i64) * hyperperiod;
+            paint(line, base, base + overhead.frame_overhead(f), b'%');
         }
     }
 
-    /// Appends a segment.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the processor row is out of range or `end < start`.
-    pub fn push(&mut self, segment: Segment) {
-        assert!(segment.processor < self.processors, "row out of range");
-        assert!(segment.end >= segment.start, "segment ends before it starts");
-        self.segments.push(segment);
+    for (m, line) in rows.iter().enumerate() {
+        let line = std::str::from_utf8(line).expect("ascii");
+        writeln!(out, "M{m} |{line}|").expect("writing to a String");
     }
-
-    /// All segments in insertion order.
-    pub fn segments(&self) -> &[Segment] {
-        &self.segments
-    }
-
-    /// The number of processor rows.
-    pub fn processors(&self) -> usize {
-        self.processors
-    }
-
-    /// Segments of one processor, sorted by start.
-    pub fn row(&self, processor: usize) -> Vec<&Segment> {
-        let mut v: Vec<&Segment> = self
-            .segments
-            .iter()
-            .filter(|s| s.processor == processor)
-            .collect();
-        v.sort_by_key(|s| s.start);
-        v
-    }
-
-    /// Renders an ASCII chart: `width` character columns spanning
-    /// `[0, horizon]`.
-    pub fn render_ascii(&self, horizon: TimeQ, width: usize) -> String {
-        let mut out = String::new();
-        if horizon.is_zero() || width == 0 {
-            return out;
-        }
-        let col_of = |t: TimeQ| -> usize {
-            let frac = t / horizon;
-            let c = (frac * TimeQ::from_int(width as i64)).floor();
-            (c.max(0) as usize).min(width)
-        };
-        for m in 0..self.processors {
-            let mut line = vec![b'.'; width];
-            for seg in self.row(m) {
-                let (a, b) = (col_of(seg.start), col_of(seg.end));
-                let glyph = match seg.kind {
-                    SegmentKind::Job => b'#',
-                    SegmentKind::Overhead => b'%',
-                };
-                for cell in line.iter_mut().take(b.max(a + 1).min(width)).skip(a) {
-                    *cell = glyph;
-                }
-            }
-            out.push_str(&format!("M{m} |"));
-            out.push_str(std::str::from_utf8(&line).expect("ascii"));
-            out.push_str("|\n");
-        }
-        out
-    }
-
-    /// Renders a per-segment CSV: `processor,label,start,end,kind`.
-    pub fn to_csv(&self) -> String {
-        let mut out = String::from("processor,label,start_ms,end_ms,kind\n");
-        for s in &self.segments {
-            out.push_str(&format!(
-                "{},{},{},{},{}\n",
-                s.processor,
-                s.label,
-                s.start.to_f64(),
-                s.end.to_f64(),
-                match s.kind {
-                    SegmentKind::Job => "job",
-                    SegmentKind::Overhead => "overhead",
-                }
-            ));
-        }
-        out
-    }
-}
-
-impl fmt::Display for Gantt {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        let horizon = self
-            .segments
-            .iter()
-            .map(|s| s.end)
-            .max()
-            .unwrap_or(TimeQ::ZERO);
-        write!(f, "{}", self.render_ascii(horizon, 80))
-    }
+    out
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    fn seg(m: usize, s: i64, e: i64, kind: SegmentKind) -> Segment {
-        Segment {
-            processor: m,
-            label: format!("j{s}"),
-            start: TimeQ::from_ms(s),
-            end: TimeQ::from_ms(e),
-            kind,
-        }
-    }
+    use fppn_core::ProcessId;
+    use fppn_taskgraph::JobId;
 
     #[test]
-    fn rows_sorted_by_start() {
-        let mut g = Gantt::new(2);
-        g.push(seg(0, 50, 60, SegmentKind::Job));
-        g.push(seg(0, 0, 10, SegmentKind::Job));
-        g.push(seg(1, 5, 15, SegmentKind::Overhead));
-        let row0 = g.row(0);
-        assert_eq!(row0.len(), 2);
-        assert!(row0[0].start < row0[1].start);
-        assert_eq!(g.row(1).len(), 1);
-    }
-
-    #[test]
-    fn ascii_render_marks_busy_cells() {
-        let mut g = Gantt::new(1);
-        g.push(seg(0, 0, 50, SegmentKind::Job));
-        let art = g.render_ascii(TimeQ::from_ms(100), 10);
-        assert!(art.starts_with("M0 |#####"));
-        assert!(art.contains('.'));
-    }
-
-    #[test]
-    fn csv_export() {
-        let mut g = Gantt::new(1);
-        g.push(seg(0, 0, 25, SegmentKind::Overhead));
-        let csv = g.to_csv();
-        assert!(csv.contains("overhead"));
-        assert!(csv.lines().count() == 2);
-    }
-
-    #[test]
-    #[should_panic(expected = "row out of range")]
-    fn bad_row_panics() {
-        let mut g = Gantt::new(1);
-        g.push(seg(1, 0, 1, SegmentKind::Job));
+    fn zero_length_job_marks_one_cell_and_empty_extent_draws_nothing() {
+        let (at, h) = (TimeQ::from_ms(50), TimeQ::from_ms(100));
+        let rec = JobRecord {
+            process: ProcessId::from_index(0),
+            frame: 0,
+            job: JobId::from_index(0),
+            global_k: 1,
+            processor: 0,
+            invoked_at: at,
+            start: at,
+            completion: at,
+            deadline: h,
+            missed: false,
+            skipped: false,
+        };
+        let draw = |horizon, width| gantt_ascii(&[rec], 1, OverheadModel::NONE, h, horizon, width);
+        assert_eq!(draw(h, 10), "M0 |.....#....|\n");
+        assert_eq!(draw(TimeQ::ZERO, 10), "");
+        assert_eq!(draw(h, 0), "");
     }
 }

@@ -27,8 +27,10 @@
 //! [`simulate`] is a thin compile+run wrapper over it; `fppn-serve` adds
 //! an artifact cache and a multi-tenant run pool on top.
 //!
-//! See `fppn-apps`/`fppn-bench` for full reproductions of the paper's
-//! Figures 4 and 6.
+//! A [`SimRun`] carries data only: observables, job records and
+//! statistics. [`gantt_ascii`] draws the Fig. 6 chart from the records on
+//! demand. See `fppn-apps`/`fppn-bench` for full reproductions of the
+//! paper's Figures 4 and 6.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
@@ -49,7 +51,7 @@ pub use compile::{
     compile_key, CompileConfig, CompileError, CompiledNetwork, RunScratch, StaticTables,
 };
 pub use exectime::{ExecTimeModel, ExecTimeSampler};
-pub use gantt::{Gantt, Segment, SegmentKind};
+pub use gantt::gantt_ascii;
 pub use metrics::{
     completion_table, end_to_end_latency, missed_jobs, response_stats, response_table,
     ResponseStats,
@@ -57,7 +59,4 @@ pub use metrics::{
 pub use overhead::OverheadModel;
 pub use policy::{clip_stimuli, simulate, JobRecord, SimConfig, SimError, SimRun, SimStats};
 pub use stimgen::adversarial::{adversarial_stimuli, max_density_flood_trace, AdversarialClass};
-pub use stimgen::{
-    random_sporadic_trace, random_stimuli, sporadic_processes, tiled_sporadic_trace,
-    validate_stimuli,
-};
+pub use stimgen::{random_sporadic_trace, random_stimuli, sporadic_processes, validate_stimuli};

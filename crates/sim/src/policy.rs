@@ -45,7 +45,6 @@ use fppn_time::{ContentHasher, TimeQ};
 use crate::cancel::CancelToken;
 use crate::compile::StaticTables;
 use crate::exectime::ExecTimeModel;
-use crate::gantt::{Gantt, Segment, SegmentKind};
 use crate::overhead::OverheadModel;
 
 /// Simulation parameters. Every field changes what a run computes; there
@@ -106,7 +105,9 @@ impl Default for SimConfig {
     }
 }
 
-/// The fate of one scheduled job instance (one round).
+/// The fate of one scheduled job instance (one round). A run's records
+/// are its whole timeline: [`crate::gantt_ascii`] draws Fig. 6's chart
+/// from them.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct JobRecord {
     /// The process.
@@ -149,15 +150,12 @@ pub struct SimStats {
     pub makespan: TimeQ,
 }
 
-/// The result of a simulation run.
+/// The result of a simulation run: data only.
 #[derive(Debug)]
 pub struct SimRun {
     /// Per-channel / per-output observable value sequences; must equal the
     /// zero-delay reference for the same stimuli (Prop. 4.1).
     pub observables: Observables,
-    /// Execution timeline (application rows first, runtime-overhead row
-    /// last when the overhead model is active).
-    pub gantt: Gantt,
     /// Every round, in behavior-execution order.
     pub records: Vec<JobRecord>,
     /// Aggregate statistics.
@@ -430,7 +428,6 @@ pub(crate) struct RoundEngine<'a> {
     /// `f·H + frame_overhead(f)` per frame: no executed job starts earlier.
     frame_gates: Vec<TimeQ>,
     h: TimeQ,
-    overhead: OverheadModel,
     /// Whether the round loop runs through the frame memo: whenever replay
     /// is sound and can hit — the deterministic [`ExecTimeModel::Wcet`]
     /// model, a network without bounded-capacity FIFOs, and at least two
@@ -548,7 +545,6 @@ impl<'a> RoundEngine<'a> {
             exec_times,
             frame_gates,
             h,
-            overhead: config.overhead,
             memo_enabled,
             server_slots,
             frame_fp_static: Vec::new(),
@@ -1110,8 +1106,8 @@ impl<'a> RoundEngine<'a> {
         }
     }
 
-    /// Sorts the records canonically, runs the behaviors in that order,
-    /// renders the Gantt and accumulates the statistics.
+    /// Sorts the records canonically, runs the behaviors in that order and
+    /// accumulates the statistics.
     ///
     /// The canonical order `(completion, frame, topological position)` is a
     /// *total* order on rounds (the topological position is unique per job
@@ -1130,6 +1126,7 @@ impl<'a> RoundEngine<'a> {
         // Execute behaviors in the precedence-consistent canonical order.
         let mut behaviors = bank.instantiate();
         let mut state = ExecState::new(net, stimuli);
+        let mut stats = SimStats::default();
         for (done, rec) in records.iter().enumerate() {
             // Behaviors are where wall-clock time actually goes, so the
             // data plane polls per job — the round loop's per-scan check
@@ -1140,70 +1137,6 @@ impl<'a> RoundEngine<'a> {
                 });
             }
             if rec.skipped {
-                continue;
-            }
-            state.run_job(&mut behaviors, rec.process, rec.global_k, rec.invoked_at)?;
-        }
-        Ok(self.render(net, records, state.into_observables()))
-    }
-
-    /// Renders the [`SimRun`] from canonically-ordered records (with
-    /// `global_k` assigned) and already-computed observables: the Gantt,
-    /// then the aggregate statistics.
-    fn render(&self, net: &Fppn, records: Vec<JobRecord>, observables: Observables) -> SimRun {
-        // Gantt: application rows + a runtime row when overhead is modeled.
-        let overhead_row = (!self.overhead.is_none()) as usize;
-        let mut gantt = Gantt::new(self.m_procs + overhead_row);
-        // `name[k]@frame`, assembled by hand: one `format!` per segment is
-        // measurable at hundreds of thousands of rounds.
-        fn push_u64(out: &mut String, mut v: u64) {
-            let mut buf = [0u8; 20];
-            let mut i = buf.len();
-            loop {
-                i -= 1;
-                buf[i] = b'0' + (v % 10) as u8;
-                v /= 10;
-                if v == 0 {
-                    break;
-                }
-            }
-            out.push_str(std::str::from_utf8(&buf[i..]).expect("ascii digits"));
-        }
-        for rec in &records {
-            if rec.skipped {
-                continue;
-            }
-            let name = net.process(rec.process).name();
-            let mut label = String::with_capacity(name.len() + 24);
-            label.push_str(name);
-            label.push('[');
-            push_u64(&mut label, rec.global_k);
-            label.push_str("]@");
-            push_u64(&mut label, rec.frame);
-            gantt.push(Segment {
-                processor: rec.processor,
-                label,
-                start: rec.start,
-                end: rec.completion,
-                kind: SegmentKind::Job,
-            });
-        }
-        if overhead_row == 1 {
-            for f in 0..self.frames {
-                let base = TimeQ::from_int(f as i64) * self.h;
-                gantt.push(Segment {
-                    processor: self.m_procs,
-                    label: format!("runtime@{f}"),
-                    start: base,
-                    end: base + self.overhead.frame_overhead(f),
-                    kind: SegmentKind::Overhead,
-                });
-            }
-        }
-
-        let mut stats = SimStats::default();
-        for rec in &records {
-            if rec.skipped {
                 stats.skipped += 1;
                 continue;
             }
@@ -1211,17 +1144,15 @@ impl<'a> RoundEngine<'a> {
             stats.makespan = stats.makespan.max(rec.completion);
             if rec.missed {
                 stats.deadline_misses += 1;
-                stats.max_lateness =
-                    stats.max_lateness.max(rec.completion - rec.deadline);
+                stats.max_lateness = stats.max_lateness.max(rec.completion - rec.deadline);
             }
+            state.run_job(&mut behaviors, rec.process, rec.global_k, rec.invoked_at)?;
         }
-
-        SimRun {
-            observables,
-            gantt,
+        Ok(SimRun {
+            observables: state.into_observables(),
             records,
             stats,
-        }
+        })
     }
 }
 
@@ -1507,9 +1438,6 @@ mod tests {
         )
         .unwrap();
         assert!(no_overhead.stats.deadline_misses < with_overhead.stats.deadline_misses);
-        // Overhead row appears in the Gantt.
-        assert_eq!(with_overhead.gantt.processors(), 2);
-        assert_eq!(no_overhead.gantt.processors(), 1);
         // Determinism holds even under overload.
         let mut behaviors = bank.instantiate();
         let horizon = TimeQ::from_int(3) * derived.hyperperiod;

@@ -83,42 +83,6 @@ pub fn random_sporadic_trace(
     SporadicTrace::new(arrivals)
 }
 
-/// Generates a random sporadic trace that is **periodic in the
-/// hyperperiod**: one random base pattern is drawn over a single
-/// hyperperiod and tiled across `frames` copies, each shifted by a whole
-/// hyperperiod.
-///
-/// Every frame then carries the *same* arrival pattern relative to its
-/// own base, which is exactly the shape the engine's frame memo exploits:
-/// once the carry-in state settles, every later frame's input equals an
-/// earlier one's and replays instead of recomputing. Ordinary
-/// [`random_sporadic_trace`] draws over the whole horizon, so no two
-/// frames ever match.
-///
-/// The base pattern is drawn over `[0, hyperperiod − burst·period)`, so
-/// tiling cannot violate the `(m, T)` constraint across a frame
-/// boundary: any window of `burst` consecutive arrivals that spans the
-/// boundary stretches over the excluded tail and is at least one period
-/// wide.
-pub fn tiled_sporadic_trace(
-    burst: u32,
-    period: TimeQ,
-    hyperperiod: TimeQ,
-    frames: u64,
-    density_permille: u32,
-    seed: u64,
-) -> SporadicTrace {
-    let margin = period * TimeQ::from_int(burst.max(1) as i64);
-    let base_horizon = (hyperperiod - margin).max(TimeQ::ZERO);
-    let base = random_sporadic_trace(burst, period, base_horizon, density_permille, seed);
-    let mut arrivals = Vec::with_capacity(base.arrivals().len() * frames as usize);
-    for f in 0..frames {
-        let offset = TimeQ::from_int(f as i64) * hyperperiod;
-        arrivals.extend(base.arrivals().iter().map(|&t| t + offset));
-    }
-    SporadicTrace::new(arrivals)
-}
-
 /// Fills a [`Stimuli`] with random arrival traces for every sporadic
 /// process of a network, plus integer input streams for every declared
 /// external input port.
@@ -202,28 +166,6 @@ mod tests {
                 "seed {seed}: {:?}",
                 t.arrivals()
             );
-        }
-    }
-
-    #[test]
-    fn tiled_traces_respect_constraint_and_repeat_per_frame() {
-        let hyper = ms(2_000);
-        for seed in 0..50 {
-            let spec = EventSpec::sporadic(3, ms(500));
-            let t = tiled_sporadic_trace(3, ms(500), hyper, 4, 1000, seed);
-            assert!(
-                t.validate_against(&spec, "tiled").is_ok(),
-                "seed {seed}: {:?}",
-                t.arrivals()
-            );
-            // Every frame's block is the base pattern shifted by f·H.
-            let n = t.arrivals().len() / 4;
-            for f in 1..4usize {
-                let off = TimeQ::from_int(f as i64) * hyper;
-                for i in 0..n {
-                    assert_eq!(t.arrivals()[f * n + i], t.arrivals()[i] + off, "seed {seed}");
-                }
-            }
         }
     }
 

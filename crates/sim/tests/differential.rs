@@ -6,9 +6,10 @@
 //!
 //! Bit-identity is asserted on every component of a [`SimRun`]: the
 //! per-round [`fppn_sim::JobRecord`]s (exact rational times, processors,
-//! ranks), the Gantt segments, the statistics, and the observables —
-//! across adversarial stimuli, frame counts, overhead models and
-//! exec-time models.
+//! ranks), the statistics, and the observables — across adversarial
+//! stimuli, frame counts, overhead models and exec-time models. The Gantt
+//! chart is a pure function of the records and the config
+//! ([`fppn_sim::gantt_ascii`]), so equal records draw equal charts.
 
 use fppn_apps::{
     adversarial_presets, fms_network, fms_wcet, random_workload, synthetic_fppn, FmsVariant,
@@ -34,7 +35,6 @@ fn assert_bit_identical(expected: &SimRun, actual: &SimRun, label: &str) {
         "{label}: observables diverged"
     );
     assert_eq!(expected.observables, actual.observables, "{label}: observables !=");
-    assert_eq!(expected.gantt, actual.gantt, "{label}: gantt diverged");
     assert_eq!(expected.stats, actual.stats, "{label}: stats diverged");
 }
 

@@ -7,7 +7,7 @@
 use fppn::apps::{fft_network, fft_wcet};
 use fppn::core::{run_zero_delay, JobOrdering, Stimuli};
 use fppn::sched::{list_schedule, Heuristic};
-use fppn::sim::{simulate, OverheadModel, SimConfig};
+use fppn::sim::{gantt_ascii, simulate, OverheadModel, SimConfig};
 use fppn::taskgraph::{derive_task_graph, load};
 use fppn::time::TimeQ;
 
@@ -57,7 +57,17 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         if processors == 2 {
             let horizon = TimeQ::from_int(2) * derived.hyperperiod;
             println!("Gantt of the first two frames (rows M0, M1, runtime):");
-            print!("{}", run.gantt.render_ascii(horizon, 72));
+            print!(
+                "{}",
+                gantt_ascii(
+                    &run.records,
+                    schedule.processors(),
+                    overhead,
+                    derived.hyperperiod,
+                    horizon,
+                    72
+                )
+            );
         }
     }
 

@@ -9,7 +9,7 @@ use fppn::core::{
     ProcessSpec, SporadicTrace, Stimuli, Value,
 };
 use fppn::sched::{find_feasible, Heuristic};
-use fppn::sim::{clip_stimuli, simulate, SimConfig};
+use fppn::sim::{clip_stimuli, gantt_ascii, simulate, SimConfig};
 use fppn::taskgraph::{derive_task_graph, load, WcetModel};
 use fppn::time::TimeQ;
 
@@ -99,17 +99,11 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     stimuli.arrivals(tune, SporadicTrace::new(vec![ms(40), ms(420), ms(780)]));
     let stimuli = clip_stimuli(&net, &derived, &stimuli, frames);
 
-    let run = simulate(
-        &net,
-        &bank,
-        &stimuli,
-        &derived,
-        &schedule,
-        &SimConfig {
-            frames,
-            ..SimConfig::default()
-        },
-    )?;
+    let config = SimConfig {
+        frames,
+        ..SimConfig::default()
+    };
+    let run = simulate(&net, &bank, &stimuli, &derived, &schedule, &config)?;
     println!(
         "simulated {} frames: {} jobs executed, {} sporadic slots skipped, {} deadline misses",
         frames, run.stats.executed, run.stats.skipped, run.stats.deadline_misses
@@ -124,6 +118,16 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     }
 
     println!("\nGantt (first {} ms):", horizon);
-    print!("{}", run.gantt.render_ascii(horizon, 72));
+    print!(
+        "{}",
+        gantt_ascii(
+            &run.records,
+            schedule.processors(),
+            config.overhead,
+            derived.hyperperiod,
+            horizon,
+            72
+        )
+    );
     Ok(())
 }

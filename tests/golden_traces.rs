@@ -6,7 +6,8 @@
 //! (`tests/golden/*.txt`). The determinism suite proves the simulator and
 //! the threaded runtime agree with the zero-delay reference; this suite
 //! pins what the reference *itself* computes, so a refactor cannot
-//! silently change semantics while remaining self-consistent.
+//! silently change semantics while remaining self-consistent. The Fig. 6
+//! Gantt chart drawn from the simulator's job records is pinned too.
 //!
 //! To regenerate after an *intentional* semantics change, run with
 //! `GOLDEN_PRINT=1 cargo test -q --test golden_traces -- --nocapture` and
@@ -18,7 +19,10 @@ use fppn::apps::{fft_network, fft_wcet, fig1_network, fig1_wcet};
 use fppn::core::{run_zero_delay, Fppn, JobOrdering, Observables, SporadicTrace, Stimuli};
 use fppn::sched::{list_schedule, Heuristic};
 use fppn::sim::hotpath::simulate_memo_off;
-use fppn::sim::{adversarial_stimuli, clip_stimuli, simulate, AdversarialClass, SimConfig};
+use fppn::sim::{
+    adversarial_stimuli, clip_stimuli, gantt_ascii, simulate, AdversarialClass, OverheadModel,
+    SimConfig,
+};
 use fppn::taskgraph::derive_task_graph;
 use fppn::time::TimeQ;
 
@@ -185,4 +189,39 @@ fn fft_zero_delay_trace_is_pinned() {
     )
     .expect("fft reference run");
     check("fft", &net, &run.observables, include_str!("golden/fft.txt"));
+}
+
+/// The Fig. 6 chart: the FFT on two processors under the §V-A MPPA
+/// overhead, 10 frames simulated, the first two drawn 76 columns wide.
+/// `gantt_ascii` must reproduce it byte for byte from the job records.
+#[test]
+fn fft_gantt_chart_is_pinned() {
+    let (net, bank, _) = fft_network();
+    let derived = derive_task_graph(&net, &fft_wcet()).expect("derivable");
+    let schedule = list_schedule(&derived.graph, 2, Heuristic::AlapEdf);
+    let config = SimConfig {
+        frames: 10,
+        overhead: OverheadModel::mppa_fft(),
+        ..SimConfig::default()
+    };
+    let run = simulate(&net, &bank, &Stimuli::new(), &derived, &schedule, &config)
+        .expect("simulation");
+    let horizon = TimeQ::from_int(2) * derived.hyperperiod;
+    let chart = gantt_ascii(
+        &run.records,
+        schedule.processors(),
+        config.overhead,
+        derived.hyperperiod,
+        horizon,
+        76,
+    );
+    if std::env::var("GOLDEN_PRINT").is_ok() {
+        println!("=== fft_gantt ===\n{chart}=== end fft_gantt ===");
+    }
+    assert_eq!(
+        chart,
+        include_str!("golden/fft_gantt.txt"),
+        "fft_gantt: chart diverged from tests/golden/fft_gantt.txt \
+         (set GOLDEN_PRINT=1 to print the new chart)"
+    );
 }
